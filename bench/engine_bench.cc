@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,7 +44,6 @@
 #include "datasets/generator.h"
 #include "obs/metrics.h"
 #include "ts/multivariate_series.h"
-#include "ts/window.h"
 
 namespace cad::bench {
 namespace {
@@ -131,11 +131,11 @@ double GaugeValue(const obs::Snapshot& snapshot, const char* name) {
 }
 
 // Steady-state allocations per round with the hook window bracketing only
-// the engine's round loop: a bare DetectionEngine is warmed up and stepped
-// over the same plan the batch driver uses, so everything CadDetector adds
-// around the rounds (latency vectors, traces, report assembly) stays outside
-// the measurement. Warm-up rounds and anomaly open/close transitions are
-// excluded — those allocate by design (capacity growth, anomaly records).
+// the engine: a bare DetectionEngine is warmed up and fed the same samples
+// the batch driver pushes, so everything CadDetector adds around the rounds
+// (latency vectors, traces, report assembly) stays outside the measurement.
+// Warm-up rounds and anomaly open/close transitions are excluded — those
+// allocate by design (capacity growth, anomaly records).
 double ScopedEngineAllocsPerRound(const EngineBenchConfig& config,
                                   const ts::MultivariateSeries& train,
                                   const ts::MultivariateSeries& test) {
@@ -147,20 +147,19 @@ double ScopedEngineAllocsPerRound(const EngineBenchConfig& config,
     std::fprintf(stderr, "engine_bench: engine warm-up failed\n");
     std::exit(1);
   }
-  const ts::WindowPlan plan =
-      ts::WindowPlan::Make(test.length(), config.window, config.step)
-          .ValueOrDie();
+  std::vector<double> sample(test.n_sensors());
   int64_t steady_allocs = 0;
   int steady_rounds = 0;
   bool prev_abnormal = false;
-  for (int r = 0; r < plan.rounds(); ++r) {
+  for (int t = 0; t < test.length(); ++t) {
+    for (int i = 0; i < test.n_sensors(); ++i) sample[i] = test.value(i, t);
     const int64_t allocs_before = common::ThreadAllocCount();
-    const core::EngineRound round =
-        engine.Step(test, plan.start(r), plan.start(r), plan.end(r));
+    const std::optional<core::EngineRound> round = engine.Push(sample);
     const int64_t allocs_after = common::ThreadAllocCount();
-    const bool transition = round.abnormal || prev_abnormal;
-    prev_abnormal = round.abnormal;
-    if (r >= config.alloc_warmup_rounds && !transition) {
+    if (!round.has_value()) continue;
+    const bool transition = round->abnormal || prev_abnormal;
+    prev_abnormal = round->abnormal;
+    if (round->round >= config.alloc_warmup_rounds && !transition) {
       steady_allocs += allocs_after - allocs_before;
       ++steady_rounds;
     }

@@ -10,10 +10,12 @@
 
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/engine.h"
 #include "core/round_processor.h"
 #include "datasets/generator.h"
 #include "graph/knn_graph.h"
@@ -92,23 +94,29 @@ void BM_OutlierDetectionRound(benchmark::State& state) {
 }
 BENCHMARK(BM_OutlierDetectionRound)->Arg(26)->Arg(128)->Arg(512)->Complexity();
 
+// The rolling-correlation path lives in the engine, which slides its tracker
+// with every sample, so this one runs whole engine rounds: each iteration
+// pushes the `step` samples that close the next round.
 void BM_OutlierDetectionRoundIncremental(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const ts::MultivariateSeries series = MakeSeries(n, 4096 + kWindow);
+  const ts::MultivariateSeries series = MakeSeries(n, 4096);
   core::CadOptions options;
   options.window = kWindow;
   options.step = 4;
   options.k = 10;
   options.tau = 0.5;
   options.incremental_correlation = true;  // O(n^2 s) instead of O(n^2 w)
-  core::RoundProcessor processor(n, options);
-  int start = 0;
+  core::DetectionEngine engine(n, options);
+  std::vector<double> sample(n);
+  int t = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(processor.ProcessWindow(series, start));
-    start += options.step;
-    if (start + kWindow > 4096) {
-      start = 0;  // the tracker resets itself on the wraparound
+    std::optional<core::EngineRound> round;
+    while (!round.has_value()) {
+      for (int i = 0; i < n; ++i) sample[i] = series.value(i, t);
+      t = (t + 1) % series.length();
+      round = engine.Push(sample);
     }
+    benchmark::DoNotOptimize(round);
   }
   state.SetComplexityN(n);
 }

@@ -86,29 +86,30 @@ int main(int argc, char** argv) {
 
   // The ingest loop: one sample per tick.
   std::vector<double> sample(stream.n_sensors());
+  // Reused across rounds: Push fills it in place when a round closes.
+  cad::core::StreamEvent event;
   int alarms = 0;
   int last_abnormal_round = -1;
   bool was_open = false;
   for (int t = 0; t < stream.length(); ++t) {
     for (int i = 0; i < stream.n_sensors(); ++i) sample[i] = stream.value(i, t);
-    const auto event = detector.Push(sample).ValueOrDie();
-    if (!event.has_value()) continue;
+    if (!detector.Push(sample, &event).ValueOrDie()) continue;
 
-    if (event->abnormal) last_abnormal_round = event->round;
-    if (event->abnormal && !was_open) {
+    if (event.abnormal) last_abnormal_round = event.round;
+    if (event.abnormal && !was_open) {
       ++alarms;
       std::printf("t=%-5d ALARM #%d  n_r=%d (mu=%.2f sigma=%.2f) outliers:",
-                  t, alarms, event->n_variations, event->mu, event->sigma);
-      for (int sensor : event->entered) std::printf(" %d", sensor);
+                  t, alarms, event.n_variations, event.mu, event.sigma);
+      for (int sensor : event.entered) std::printf(" %d", sensor);
       // Movers (Definition 2) are the attribution-grade subset: sensors that
       // changed community this round, not merely persistent outliers.
-      if (!event->entered_movers.empty()) {
+      if (!event.entered_movers.empty()) {
         std::printf("  movers:");
-        for (int sensor : event->entered_movers) std::printf(" %d", sensor);
+        for (int sensor : event.entered_movers) std::printf(" %d", sensor);
       }
       std::printf("\n");
     }
-    if (!event->abnormal && was_open) {
+    if (!event.abnormal && was_open) {
       // anomalies() returns a snapshot copy; keep the element by value.
       const cad::core::Anomaly closed = detector.anomalies().back();
       std::printf("t=%-5d cleared; anomaly spanned [%d, %d), sensors:",

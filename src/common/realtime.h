@@ -51,8 +51,9 @@
 // on any out-of-line definition (the effect attributes are part of the
 // function type, so the redeclarations must agree):
 //
-//   EngineRound Step(...) CAD_REALTIME_AUDITED;           // header
-//   EngineRound DetectionEngine::Step(...) CAD_REALTIME_AUDITED { ... }
+//   std::optional<EngineRound> Push(...) CAD_REALTIME_AUDITED;  // header
+//   std::optional<EngineRound> DetectionEngine::Push(...)
+//       CAD_REALTIME_AUDITED { ... }
 #ifndef CAD_COMMON_REALTIME_H_
 #define CAD_COMMON_REALTIME_H_
 

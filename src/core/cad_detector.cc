@@ -8,7 +8,6 @@
 #include "common/stopwatch.h"
 #include "core/engine.h"
 #include "obs/trace.h"
-#include "ts/window.h"
 
 namespace cad::core {
 
@@ -82,49 +81,45 @@ Result<DetectionReport> CadDetector::Detect(
 
   // --- Detection (Algorithm 2, main loop). Engine state starts with
   // O_0 = empty, exactly as line 2 of the pseudo-code.
-  Result<ts::WindowPlan> plan_result =
-      ts::WindowPlan::Make(series.length(), options_.window, options_.step);
-  if (!plan_result.ok()) return plan_result.status();
-  const ts::WindowPlan& plan = plan_result.value();
-
   report.point_scores.assign(series.length(), 0.0);
   report.point_labels.assign(series.length(), 0);
   report.sensor_labels.assign(n, 0);
-  report.rounds.reserve(plan.rounds());
 
+  // Time-domain footprint of a round: the trailing fraction of its window
+  // (cad_options.h window_mark_fraction).
+  const int marked = std::max(
+      options_.step,
+      static_cast<int>(options_.window * options_.window_mark_fraction));
   std::vector<double> round_seconds;
-  round_seconds.reserve(plan.rounds());
+  std::vector<double> sample(static_cast<size_t>(n));
   {
     // Scoped so the timer lands in `report` before it moves into the Result.
     obs::Span detect_span(tracer, "detect");
     ScopedTimer detect_timer(&report.detect_seconds);
-    for (int r = 0; r < plan.rounds(); ++r) {
+    for (int t = 0; t < series.length(); ++t) {
+      for (int i = 0; i < n; ++i) sample[i] = series.value(i, t);
       Stopwatch round_watch;
-      const EngineRound round =
-          engine.Step(series, plan.start(r), plan.start(r), plan.end(r));
+      const std::optional<EngineRound> round = engine.Push(sample);
+      if (!round.has_value()) continue;
 
       RoundTrace trace;
-      trace.round = r;
-      trace.start_time = plan.start(r);
-      trace.n_variations = round.output->n_variations;
-      trace.n_outliers = static_cast<int>(round.output->outliers.size());
-      trace.n_communities = round.output->n_communities;
-      trace.n_edges = round.output->n_edges;
-      trace.mu = round.mu;
-      trace.sigma = round.sigma;
-      trace.abnormal = round.abnormal;
+      trace.round = round->round;
+      trace.start_time = round->window_start;
+      trace.n_variations = round->output->n_variations;
+      trace.n_outliers = static_cast<int>(round->output->outliers.size());
+      trace.n_communities = round->output->n_communities;
+      trace.n_edges = round->output->n_edges;
+      trace.mu = round->mu;
+      trace.sigma = round->sigma;
+      trace.abnormal = round->abnormal;
 
-      // Time-domain footprint of this round: the trailing fraction of the
-      // window (cad_options.h window_mark_fraction).
-      const int marked = std::max(
-          options_.step,
-          static_cast<int>(options_.window * options_.window_mark_fraction));
-      const int slice_begin = r == 0 ? plan.start(r)
-                                     : std::max(plan.start(r),
-                                                plan.end(r) - marked);
-      for (int t = slice_begin; t < plan.end(r); ++t) {
-        report.point_scores[t] = std::max(report.point_scores[t], round.score);
-        if (round.abnormal) report.point_labels[t] = 1;
+      const int slice_begin =
+          round->round == 0
+              ? round->window_start
+              : std::max(round->window_start, round->window_end - marked);
+      for (int p = slice_begin; p < round->window_end; ++p) {
+        report.point_scores[p] = std::max(report.point_scores[p], round->score);
+        if (round->abnormal) report.point_labels[p] = 1;
       }
 
       report.rounds.push_back(trace);

@@ -1,10 +1,11 @@
 // CadDetector: the batch driver of the CAD pipeline (paper Algorithm 2).
 //
-// The round loop, eta-sigma decision, mu/sigma update and anomaly assembly
-// all live in core::DetectionEngine (engine.h); this driver walks a
-// WindowPlan over the stored series, feeds each window to the engine, and
-// derives the batch-only artifacts: per-round traces, per-time-point scores
-// and labels, and latency summaries.
+// The round cadence, eta-sigma decision, mu/sigma update and anomaly
+// assembly all live in core::DetectionEngine (engine.h); this driver pushes
+// the stored series into the engine one sample at a time, exactly as the
+// online drivers do, and derives the batch-only artifacts from the rounds
+// the engine reports: per-round traces, per-time-point scores and labels,
+// and latency summaries.
 //
 // Workflow:
 //   1. Warm-up on a historical series T_his from the same source: runs

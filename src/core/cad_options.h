@@ -39,7 +39,10 @@ struct CadOptions {
   // per round instead of O(n^2 w), a ~w/s-fold TPR improvement at the
   // paper-recommended s ≈ 0.02 w (see stats/rolling_correlation.h).
   // Correlations differ from the direct computation only by float rounding
-  // (~1e-12). Ignored under Spearman (ranks are not slide-updatable).
+  // (~1e-12). The engine slides its tracker with every sample it is pushed,
+  // so batch, streaming and fleet drivers give bit-identical results with
+  // this on, as with it off. Ignored under Spearman (ranks are not
+  // slide-updatable).
   bool incremental_correlation = false;
 
   // Outlier threshold theta on the ratio of co-appearance number RC_{v,r}

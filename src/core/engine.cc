@@ -8,7 +8,6 @@
 #include "check/validators.h"
 #include "common/alloc_tracker.h"
 #include "obs/trace.h"
-#include "ts/window.h"
 
 namespace cad::core {
 
@@ -108,6 +107,12 @@ DetectionEngine::DetectionEngine(int n_sensors, const CadOptions& options)
       options_(options),
       metrics_(obs::PipelineMetrics::For(
           obs::ResolveRegistry(options.metrics_registry))),
+      samples_(n_sensors, options.window, options.step),
+      window_(n_sensors, options.window),
+      rolling_(options.incremental_correlation && !options.use_spearman
+                   ? std::make_unique<stats::RollingCorrelationTracker>(
+                         n_sensors, options.window)
+                   : nullptr),
       processor_(n_sensors, options),
       policy_(options),
       assembler_(n_sensors, options, metrics_),
@@ -117,15 +122,23 @@ DetectionEngine::DetectionEngine(int n_sensors, const CadOptions& options)
   }
 }
 
+Status DetectionEngine::ValidateStream(int n_sensors,
+                                       const CadOptions& options) {
+  if (n_sensors <= 0) {
+    return Status::InvalidArgument("n_sensors must be positive");
+  }
+  return options.Validate(options.window);
+}
+
 Status DetectionEngine::WarmUp(const ts::MultivariateSeries& historical) {
+  if (samples_.samples_seen() > 0) {
+    return Status::FailedPrecondition("WarmUp must precede the first Push");
+  }
   if (historical.n_sensors() != n_sensors_) {
     return Status::InvalidArgument(
         "historical series has a different sensor count");
   }
   CAD_RETURN_NOT_OK(options_.Validate(historical.length()));
-  Result<ts::WindowPlan> plan = ts::WindowPlan::Make(
-      historical.length(), options_.window, options_.step);
-  if (!plan.ok()) return plan.status();
 
   obs::Span warmup_span(obs::ResolveTracer(options_.tracer), "warmup");
   RoundProcessor processor(n_sensors_, options_);
@@ -133,12 +146,17 @@ Status DetectionEngine::WarmUp(const ts::MultivariateSeries& historical) {
   // "round" spans correspond to detection rounds the drivers report.
   processor.set_span_name("warmup_round");
   const int burn_in = options_.EffectiveBurnIn();
-  for (int r = 0; r < plan.value().rounds(); ++r) {
-    const RoundOutput& round =
-        processor.ProcessWindow(historical, plan.value().start(r));
+  std::vector<double> sample(static_cast<size_t>(n_sensors_));
+  int round = 0;
+  for (int t = 0; t < historical.length(); ++t) {
+    for (int i = 0; i < n_sensors_; ++i) sample[i] = historical.value(i, t);
+    if (!Ingest(sample)) continue;
+    const RoundOutput& out = ProcessRound(&processor, nullptr);
     // Cold-start rounds are artifacts of the empty outlier state, not data.
-    if (r >= burn_in) policy_.Seed(round.n_variations);
+    if (round++ >= burn_in) policy_.Seed(out.n_variations);
   }
+  samples_.Clear();
+  if (rolling_ != nullptr) rolling_->Clear();
   // Stage-boundary contract (CAD_CHECK_LEVEL=full only): warm-up must leave
   // a well-formed mu/sigma accumulator behind.
   CAD_VALIDATE(check::ValidateRunningStats(policy_.stats(),
@@ -146,17 +164,39 @@ Status DetectionEngine::WarmUp(const ts::MultivariateSeries& historical) {
   return Status::Ok();
 }
 
-EngineRound DetectionEngine::Step(const ts::MultivariateSeries& series,
-                                  int start, int window_start_time,
-                                  int window_end_time,
-                                  RoundWorkspace* workspace)
+bool DetectionEngine::Ingest(std::span<const double> sample)
     CAD_REALTIME_AUDITED {
+  CAD_CHECK(static_cast<int>(sample.size()) == n_sensors_,
+            "sample width mismatch");
+  if (rolling_ != nullptr) {
+    if (samples_.full()) rolling_->Remove(samples_.oldest());
+    rolling_->Add(sample);
+  }
+  return samples_.Append(sample);
+}
+
+const RoundOutput& DetectionEngine::ProcessRound(RoundProcessor* processor,
+                                                 RoundWorkspace* workspace)
+    CAD_REALTIME_AUDITED {
+  samples_.MaterializeInto(&window_);
+  if (rolling_ != nullptr) {
+    return processor->ProcessRolling(rolling_.get(), window_, workspace);
+  }
+  return processor->ProcessWindow(window_, 0, workspace);
+}
+
+std::optional<EngineRound> DetectionEngine::Push(
+    std::span<const double> sample, RoundWorkspace* workspace)
+    CAD_REALTIME_AUDITED {
+  if (!Ingest(sample)) return std::nullopt;
   const int64_t allocs_before = common::ThreadAllocCount();
 
-  const RoundOutput& out = processor_.ProcessWindow(series, start, workspace);
+  const RoundOutput& out = ProcessRound(&processor_, workspace);
 
   EngineRound result;
   result.round = round_index_;
+  result.window_start = samples_.window_start_time();
+  result.window_end = samples_.window_end_time();
   result.output = &out;
   const DecisionPolicy::Decision decision =
       policy_.Judge(round_index_, out.n_variations);
@@ -167,8 +207,8 @@ EngineRound DetectionEngine::Step(const ts::MultivariateSeries& series,
   result.threshold = decision.threshold;
 
   const size_t anomalies_before = assembler_.anomalies().size();
-  assembler_.Observe(round_index_, decision.abnormal, out, window_start_time,
-                     window_end_time, processor_.tracker());
+  assembler_.Observe(round_index_, decision.abnormal, out, result.window_start,
+                     result.window_end, processor_.tracker());
   if (decision.abnormal) metrics_.abnormal_rounds_total->Increment();
   // Every n_r (abnormal or not) sharpens mu/sigma — after the decision, so a
   // round is never judged against statistics containing itself.
@@ -180,8 +220,8 @@ EngineRound DetectionEngine::Step(const ts::MultivariateSeries& series,
     // the round itself.
     obs::DecisionRecord& rec = recorder_.BeginRecord();
     rec.round = round_index_;
-    rec.window_start = window_start_time;
-    rec.window_end = window_end_time;
+    rec.window_start = result.window_start;
+    rec.window_end = result.window_end;
     rec.n_variations = out.n_variations;
     rec.mu = decision.mu;
     rec.sigma = decision.sigma;
@@ -237,7 +277,7 @@ void DetectionEngine::DumpClosedAnomalies(size_t first_new) {
                                &jsonl);
   }
   if (jsonl.empty()) return;
-  // cad-lint: allow(CL007) opt-in close-time flight-log append, sequenced after Step's alloc accounting by design
+  // cad-lint: allow(CL007) opt-in close-time flight-log append, sequenced after Push's alloc accounting by design
   std::ofstream file(options_.flight_log_path, std::ios::app);
   if (file) file << jsonl;
 }

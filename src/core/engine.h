@@ -1,23 +1,26 @@
 // DetectionEngine: the driver-independent core of CAD's Algorithm 2.
 //
-// CadDetector (batch) and StreamingCad (online) are thin drivers over this
-// engine: the batch driver walks a WindowPlan over a stored series, the
-// streaming driver materializes windows from a ring buffer under a mutex —
-// but the round loop itself (Algorithm 1 via RoundProcessor, the eta-sigma
-// decision, the running mu/sigma update, and anomaly assembly) lives here
-// exactly once. DESIGN.md "Engine architecture" shows the full picture and
-// how to add a third driver.
+// The engine consumes samples: CadDetector (batch), StreamingCad (online)
+// and fleet tenants are thin drivers that Push one time point at a time.
+// Everything between a sample and a verdict lives here exactly once — the
+// SampleWindow that decides when a round closes and where its window sits,
+// the rolling correlation tracker, the round (Algorithm 1 via
+// RoundProcessor), the eta-sigma decision, the mu/sigma update and anomaly
+// assembly — so the same samples give the same rounds in every driver.
+// DESIGN.md "Engine architecture" shows how to add a driver.
 //
-// The engine is not synchronized; drivers that need thread safety (the
-// streaming driver) wrap it in their own lock. Each Step also publishes the
-// number of heap allocations it performed as the `cad_round_allocs` gauge
-// (real counts only in binaries that link cad_alloc_hook; see
-// common/alloc_tracker.h) — the steady-state contract is zero.
+// The engine is not synchronized; drivers that need thread safety wrap it
+// in their own lock. Each round also publishes the number of heap
+// allocations it performed as the `cad_round_allocs` gauge (real counts
+// only in binaries that link cad_alloc_hook; see common/alloc_tracker.h) —
+// the steady-state contract is zero.
 #ifndef CAD_CORE_ENGINE_H_
 #define CAD_CORE_ENGINE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -25,9 +28,11 @@
 #include "common/status.h"
 #include "core/cad_options.h"
 #include "core/round_processor.h"
+#include "core/sample_window.h"
 #include "core/types.h"
 #include "obs/flight_recorder.h"
 #include "obs/pipeline_metrics.h"
+#include "stats/rolling_correlation.h"
 #include "stats/running_stats.h"
 #include "ts/multivariate_series.h"
 
@@ -36,7 +41,7 @@ namespace cad::core {
 // The eta-sigma abnormality rule (paper Theorem 1) plus the running mu/sigma
 // state it judges against (the series N of Algorithm 2). Judging and
 // updating are split so a round is always judged with the statistics that
-// exclude its own n_r, in both drivers.
+// exclude its own n_r, in every driver.
 class DecisionPolicy {
  public:
   struct Decision {
@@ -94,7 +99,7 @@ class AnomalyAssembler {
         open_sensor_flags_(n_sensors, 0) {}
 
   // Feeds one round's decision. `window_start_time` / `window_end_time` are
-  // the round's window [start, end) on the driver's global time axis; the
+  // the round's window [start, end) on the engine's time axis; the
   // anomaly's detection_time is the end of its first abnormal window, minus
   // one, and its end_time is the end of its last abnormal window.
   void Observe(int round, bool abnormal, const RoundOutput& out,
@@ -139,9 +144,11 @@ class AnomalyAssembler {
 };
 
 // What one engine round produced. `output` points at the engine's reused
-// round state and stays valid until the next Step.
+// round state and stays valid until the next Push.
 struct EngineRound {
   int round = 0;
+  int window_start = 0;  // the round's window [start, end), in samples
+  int window_end = 0;    // pushed since construction or WarmUp
   const RoundOutput* output = nullptr;
   bool abnormal = false;
   double score = 0.0;
@@ -154,30 +161,35 @@ class DetectionEngine {
  public:
   DetectionEngine(int n_sensors, const CadOptions& options);
 
-  // Algorithm 2's WarmUp: seeds mu/sigma from the historical series using a
-  // throwaway round processor; the engine's detection state is untouched
-  // (detection restarts with O_0 = empty, line 2 of the pseudo-code).
+  // What a streaming driver checks before building an engine: n_sensors > 0
+  // and options valid for a series as long as the window.
+  [[nodiscard]] static Status ValidateStream(int n_sensors,
+                                             const CadOptions& options);
+
+  // Algorithm 2's WarmUp, before the first Push: seeds mu/sigma from the
+  // rounds of `historical`, pushed through the engine's own window on a
+  // throwaway round processor. Detection then restarts at time 0 with an
+  // empty window and O_0 = empty (line 2 of the pseudo-code).
   [[nodiscard]] Status WarmUp(const ts::MultivariateSeries& historical);
 
-  // Runs one detection round on the window [start, start + window) of
-  // `series` and feeds the decision through the assembler.
-  // `window_start_time` / `window_end_time` place the window on the driver's
-  // global time axis (batch: plan.start/end(r); streaming: samples_seen -
-  // window / samples_seen).
+  // Ingests one time point (`sample.size()` == n_sensors). When it closes a
+  // round, runs the round through decision and anomaly assembly and returns
+  // it; nullopt otherwise.
   //
   // `workspace` optionally supplies the round's scratch arena (per-round
   // only, no cross-round state — see RoundWorkspace): the fleet's shared
   // worker pool passes pooled arenas so tenant engines stay workspace-less;
   // single-tenant drivers omit it and the processor lazily owns one.
-  EngineRound Step(const ts::MultivariateSeries& series, int start,
-                   int window_start_time, int window_end_time,
-                   RoundWorkspace* workspace = nullptr) CAD_REALTIME_AUDITED;
+  std::optional<EngineRound> Push(std::span<const double> sample,
+                                  RoundWorkspace* workspace = nullptr)
+      CAD_REALTIME_AUDITED;
 
-  // Closes any anomaly still open after the last Step (and, like a normal
+  // Closes any anomaly still open after the last round (and, like a normal
   // close, appends its rounds to CadOptions::flight_log_path when set).
   void Finish();
 
   int n_sensors() const { return n_sensors_; }
+  int samples_seen() const { return samples_.samples_seen(); }
   int rounds() const { return round_index_; }
   double mu() const { return policy_.stats().mean(); }
   double sigma() const { return policy_.stats().stddev(); }
@@ -201,12 +213,24 @@ class DetectionEngine {
   }
 
  private:
+  // Feeds one sample to the window and the rolling tracker; true when it
+  // closes a round.
+  bool Ingest(std::span<const double> sample) CAD_REALTIME_AUDITED;
+  // Runs Algorithm 1 on `processor` over the current window.
+  const RoundOutput& ProcessRound(RoundProcessor* processor,
+                                  RoundWorkspace* workspace)
+      CAD_REALTIME_AUDITED;
+
   // Appends the rounds of anomalies_[first_new..] to flight_log_path.
   void DumpClosedAnomalies(size_t first_new);
 
   int n_sensors_;
   CadOptions options_;
   obs::PipelineMetrics metrics_;
+  SampleWindow samples_;           // ring + round cadence + time axis
+  ts::MultivariateSeries window_;  // the ring, materialized per round
+  // Set iff incremental_correlation applies (Pearson only).
+  std::unique_ptr<stats::RollingCorrelationTracker> rolling_;
   RoundProcessor processor_;
   DecisionPolicy policy_;
   AnomalyAssembler assembler_;

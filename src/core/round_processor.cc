@@ -72,23 +72,6 @@ const RoundOutput& RoundProcessor::ProcessWindow(
   obs::Span round_span(tracer_, span_name_);
   obs::ScopedHistogramTimer round_timer(metrics_.round_seconds,
                                         &out_.round_seconds);
-  if (options_.incremental_correlation && !options_.use_spearman) {
-    {
-      obs::Span corr_span(tracer_, "correlation");
-      obs::ScopedHistogramTimer corr_timer(metrics_.correlation_seconds,
-                                           &out_.correlation_seconds);
-      if (rolling_ == nullptr) {
-        // cad-lint: allow(CL007) one-time lazy construction on the first round only; every later round takes the SlideTo branch
-        rolling_ = std::make_unique<stats::RollingCorrelationTracker>(
-            n_sensors_, options_.window);
-        rolling_->Reset(series, start);
-      } else {
-        rolling_->SlideTo(series, start);
-      }
-      rolling_->CorrelationsInto(&ws->correlation);
-    }
-    return FinishRound(ws->correlation, &round_span, ws);
-  }
   obs::Span corr_span(tracer_, "correlation");
   Stopwatch corr_watch;
   stats::WindowCorrelationMatrixInto(
@@ -102,15 +85,23 @@ const RoundOutput& RoundProcessor::ProcessWindow(
   return FinishRound(ws->correlation, &round_span, ws);
 }
 
-const RoundOutput& RoundProcessor::ProcessCorrelation(
-    const stats::CorrelationMatrix& corr,
+const RoundOutput& RoundProcessor::ProcessRolling(
+    stats::RollingCorrelationTracker* rolling,
+    const ts::MultivariateSeries& window,
     RoundWorkspace* workspace) CAD_REALTIME_AUDITED {
   RoundWorkspace* ws = ResolveWorkspace(workspace);
   out_.Clear();
   obs::Span round_span(tracer_, span_name_);
   obs::ScopedHistogramTimer round_timer(metrics_.round_seconds,
                                         &out_.round_seconds);
-  return FinishRound(corr, &round_span, ws);
+  {
+    obs::Span corr_span(tracer_, "correlation");
+    obs::ScopedHistogramTimer corr_timer(metrics_.correlation_seconds,
+                                         &out_.correlation_seconds);
+    if (rolling->refresh_due()) rolling->Reset(window, 0);
+    rolling->CorrelationsInto(&ws->correlation);
+  }
+  return FinishRound(ws->correlation, &round_span, ws);
 }
 
 const RoundOutput& RoundProcessor::FinishRound(
@@ -122,7 +113,7 @@ const RoundOutput& RoundProcessor::FinishRound(
     // cad-lint: allow(CL007) guarded by active(): only runs when a tracer is attached, an opt-in diagnostic mode
     round_span->AddArg("round", std::to_string(rounds_processed_));
   }
-  RoundOutput& out = out_;  // Clear()ed by the ProcessWindow/Correlation entry
+  RoundOutput& out = out_;  // Clear()ed by the ProcessWindow/Rolling entry
   Stopwatch stage_watch;
 
   // Phase 1: TSG + community detection.
@@ -244,7 +235,6 @@ void RoundProcessor::Reset() {
   prev_community_.clear();
   std::fill(outlier_flags_.begin(), outlier_flags_.end(), 0);
   std::fill(last_moved_round_.begin(), last_moved_round_.end(), -1);
-  rolling_.reset();
   rounds_processed_ = 0;
 }
 

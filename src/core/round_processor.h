@@ -108,9 +108,10 @@ class RoundProcessor {
             obs::ResolveRegistry(options.metrics_registry))),
         tracer_(&obs::ResolveTracer(options.tracer)) {}
 
-  // Processes the window [start, start + options.window) of `series`.
-  // Rounds must be fed in chronological order. The returned reference points
-  // at the processor's reused output and stays valid until the next round.
+  // Processes the window [start, start + options.window) of `series` with
+  // the direct correlation kernel. Rounds must be fed in chronological
+  // order. The returned reference points at the processor's reused output
+  // and stays valid until the next round.
   //
   // `workspace` selects the scratch arena for this round: nullptr uses the
   // processor's own lazily-created workspace (the single-tenant drivers);
@@ -122,10 +123,12 @@ class RoundProcessor {
                                    RoundWorkspace* workspace = nullptr)
       CAD_REALTIME_AUDITED;
 
-  // Same, but the caller supplies a pre-built correlation matrix (used by the
-  // micro benches to isolate graph/community cost).
-  const RoundOutput& ProcessCorrelation(const stats::CorrelationMatrix& corr,
-                                        RoundWorkspace* workspace = nullptr)
+  // The incremental_correlation form: the correlations come from
+  // `rolling`, which its owner slides one sample at a time; a due refresh
+  // first recomputes it from `window`, the materialized current window.
+  const RoundOutput& ProcessRolling(stats::RollingCorrelationTracker* rolling,
+                                    const ts::MultivariateSeries& window,
+                                    RoundWorkspace* workspace = nullptr)
       CAD_REALTIME_AUDITED;
 
   // Clears all cross-round state (communities, RC history, outlier set).
@@ -157,8 +160,6 @@ class RoundProcessor {
   std::vector<int> prev_community_;  // empty before the first round
   std::vector<uint8_t> outlier_flags_;  // membership of O_{r-1}
   std::vector<int> last_moved_round_;   // -1 = never moved (Definition 2)
-  // Lazily created when options_.incremental_correlation is set.
-  std::unique_ptr<stats::RollingCorrelationTracker> rolling_;
   // Lazily created on the first round that does not bring its own workspace.
   std::unique_ptr<RoundWorkspace> owned_workspace_;
   RoundOutput out_;  // reused across rounds; returned by const reference

@@ -1,18 +1,13 @@
-// core::SampleWindow — the streaming ingest state extracted from
-// StreamingCad so every online driver shares one implementation: a ring of
-// the last `window` samples (sample-major) plus the round cadence rule of
-// paper Section IV-F (a round closes every `step` samples once `window`
-// samples have been seen).
+// core::SampleWindow — the one place that decides when a detection round
+// closes: a ring of the last `window` samples (sample-major) plus the round
+// cadence of paper Section III-B (a round closes every `step` samples once
+// `window` samples have been seen; a trailing partial step closes none).
+// core::DetectionEngine owns one and feeds it every sample, whichever
+// driver pushed it, and materializes the ring when a round closes.
 //
-// StreamingCad wraps one SampleWindow behind its mutex; fleet::FleetEngine
-// keeps one per tenant behind the tenant lock. Neither copy of the ring
-// logic exists anymore — StreamingCad is a thin single-tenant facade over
-// exactly the ingest -> materialize -> DetectionEngine::Step path the fleet
-// workers drive.
-//
-// Not synchronized; the owner provides the lock (both owners already hold
-// one across every call). Append and MaterializeInto copy into storage sized
-// at construction, so steady-state ingestion performs zero heap allocations.
+// Not synchronized; the engine's owner provides the lock. Append and
+// MaterializeInto copy into storage sized at construction, so steady-state
+// ingestion performs zero heap allocations.
 #ifndef CAD_CORE_SAMPLE_WINDOW_H_
 #define CAD_CORE_SAMPLE_WINDOW_H_
 
@@ -26,6 +21,7 @@ namespace cad::core {
 
 class SampleWindow {
  public:
+  // `window` > 0 and `step` > 0 (CadOptions::Validate guarantees both).
   SampleWindow(int n_sensors, int window, int step)
       : n_sensors_(n_sensors),
         window_(window),
@@ -47,18 +43,20 @@ class SampleWindow {
       head_ = (head_ + 1) % window_;
     }
     ++samples_seen_;
-    return RoundReady();
+    return samples_seen_ >= window_ && (samples_seen_ - window_) % step_ == 0;
   }
 
-  // True when the most recent Append closed a round (see Append).
-  bool RoundReady() const {
-    if (samples_seen_ < window_) return false;
-    return (samples_seen_ - window_) % step_ == 0;
+  // True once the ring holds `window` samples; the next Append then
+  // overwrites oldest(), the oldest buffered sample.
+  bool full() const { return buffered_ == window_; }
+  std::span<const double> oldest() const {
+    return {buffer_.data() + static_cast<size_t>(head_) * n_sensors_,
+            static_cast<size_t>(n_sensors_)};
   }
 
-  // Materializes the ring into the sensor-major series the engine consumes
-  // (`out` must be shaped n_sensors x window). Valid once samples_seen() >=
-  // window.
+  // Materializes the ring, oldest sample first, into the sensor-major series
+  // the round consumes (`out` must be shaped n_sensors x window). Valid once
+  // samples_seen() >= window.
   void MaterializeInto(ts::MultivariateSeries* out) const {
     for (int t = 0; t < window_; ++t) {
       const int slot = (head_ + t) % window_;
@@ -68,15 +66,19 @@ class SampleWindow {
     }
   }
 
+  // Forgets every sample: the next Append starts a new stream at time 0.
+  void Clear() {
+    head_ = 0;
+    buffered_ = 0;
+    samples_seen_ = 0;
+  }
+
   // The window's position on the stream's global time axis:
   // [samples_seen - window, samples_seen).
   int window_start_time() const { return samples_seen_ - window_; }
   int window_end_time() const { return samples_seen_; }
 
   int samples_seen() const { return samples_seen_; }
-  int n_sensors() const { return n_sensors_; }
-  int window() const { return window_; }
-  int step() const { return step_; }
 
  private:
   const int n_sensors_;

@@ -12,14 +12,26 @@
 
 namespace cad::core {
 
+namespace {
+
+// An invalid stream never feeds its engine: a one-sensor engine on the
+// default shape stands in, so the rejected shape is never built.
+CadOptions InertOptions(const CadOptions& options) {
+  CadOptions inert;
+  inert.metrics_registry = options.metrics_registry;
+  return inert;
+}
+
+}  // namespace
+
 StreamingCad::StreamingCad(int n_sensors, const CadOptions& options)
     : n_sensors_(n_sensors),
       options_(options),
+      config_(DetectionEngine::ValidateStream(n_sensors, options)),
       metrics_(obs::PipelineMetrics::For(
           obs::ResolveRegistry(options.metrics_registry))),
-      engine_(n_sensors, options),
-      ingest_(n_sensors, options.window, options.step),
-      window_(n_sensors, options.window),
+      engine_(config_.ok() ? n_sensors : 1,
+              config_.ok() ? options : InertOptions(options)),
       // Last in initialization order: every member its handlers touch
       // (mu_, engine_, the counters) is already alive when the serve thread
       // starts.
@@ -27,7 +39,9 @@ StreamingCad::StreamingCad(int n_sensors, const CadOptions& options)
 
 std::unique_ptr<obs::ExpositionServer> StreamingCad::MakeServer(
     StreamingCad* self) {
-  if (self->options_.exposition_port < 0) return nullptr;
+  if (!self->config_.ok() || self->options_.exposition_port < 0) {
+    return nullptr;
+  }
   obs::ExpositionServer::Handlers handlers;
   handlers.metrics_text = [self] {
     return obs::ToPrometheusText(self->TelemetrySnapshot());
@@ -87,7 +101,7 @@ std::string StreamingCad::AdviseJson(int from_round, int to_round) const {
 StreamHealth StreamingCad::Health() const {
   common::MutexLock lock(mu_);
   StreamHealth health;
-  health.samples_seen = ingest_.samples_seen();
+  health.samples_seen = engine_.samples_seen();
   health.rounds = engine_.rounds();
   health.anomaly_open = engine_.anomaly_open();
   const obs::FlightRecorder& recorder = engine_.recorder();
@@ -123,27 +137,14 @@ std::string StreamingCad::ExplainJson(int round) const {
 }
 
 Status StreamingCad::WarmUp(const ts::MultivariateSeries& historical) {
+  CAD_RETURN_NOT_OK(config_);
   common::MutexLock lock(mu_);
-  if (ingest_.samples_seen() > 0) {
-    return Status::FailedPrecondition("WarmUp must precede the first Push");
-  }
-  if (historical.n_sensors() != n_sensors_) {
-    return Status::InvalidArgument("historical sensor count mismatch");
-  }
   return engine_.WarmUp(historical);
-}
-
-Result<std::optional<StreamEvent>> StreamingCad::Push(
-    std::span<const double> readings) {
-  StreamEvent event;
-  Result<bool> completed = Push(readings, &event);
-  if (!completed.ok()) return completed.status();
-  if (!completed.value()) return std::optional<StreamEvent>{};
-  return std::optional<StreamEvent>{std::move(event)};
 }
 
 Result<bool> StreamingCad::Push(std::span<const double> readings,
                                 StreamEvent* event) {
+  CAD_RETURN_NOT_OK(config_);
   if (static_cast<int>(readings.size()) != n_sensors_) {
     return Status::InvalidArgument("sample has " +
                                    std::to_string(readings.size()) +
@@ -151,41 +152,27 @@ Result<bool> StreamingCad::Push(std::span<const double> readings,
                                    std::to_string(n_sensors_));
   }
   common::MutexLock lock(mu_);
-  const bool round_due = ingest_.Append(readings);
-  metrics_.stream_samples_total->Increment();
-  if (!round_due) return false;
-  RunRound(event);
-  return true;
-}
-
-void StreamingCad::RunRound(StreamEvent* event) {
   Stopwatch round_watch;
-  // Materialize the ring buffer into the reused window series (sensor-major).
-  ingest_.MaterializeInto(&window_);
+  const std::optional<EngineRound> round = engine_.Push(readings);
+  metrics_.stream_samples_total->Increment();
+  if (!round.has_value()) return false;
 
-  // The engine handles the decision, mu/sigma update and anomaly assembly;
-  // this driver only supplies the window's position on the stream's time
-  // axis: [samples_seen - window, samples_seen).
-  const EngineRound round = engine_.Step(window_, 0,
-                                         ingest_.window_start_time(),
-                                         ingest_.window_end_time());
-
-  event->round = round.round;
-  event->time_index = ingest_.samples_seen() - 1;
-  event->n_variations = round.output->n_variations;
-  event->abnormal = round.abnormal;
+  event->round = round->round;
+  event->time_index = round->window_end - 1;
+  event->n_variations = round->output->n_variations;
+  event->abnormal = round->abnormal;
   // assign() into the caller's event reuses its vector capacity, so a
-  // steady-state Push stays allocation-free end to end (the std::optional
-  // overload pays for fresh vectors instead).
-  event->outliers.assign(round.output->outliers.begin(),
-                         round.output->outliers.end());
-  event->entered.assign(round.output->entered.begin(),
-                        round.output->entered.end());
-  event->entered_movers.assign(round.output->entered_movers.begin(),
-                               round.output->entered_movers.end());
-  event->mu = round.mu;
-  event->sigma = round.sigma;
+  // steady-state Push stays allocation-free end to end.
+  event->outliers.assign(round->output->outliers.begin(),
+                         round->output->outliers.end());
+  event->entered.assign(round->output->entered.begin(),
+                        round->output->entered.end());
+  event->entered_movers.assign(round->output->entered_movers.begin(),
+                               round->output->entered_movers.end());
+  event->mu = round->mu;
+  event->sigma = round->sigma;
   event->round_seconds = round_watch.ElapsedSeconds();
+  return true;
 }
 
 }  // namespace cad::core

@@ -1,13 +1,12 @@
 // StreamingCad: the online driver of CAD (paper Section IV-F).
 //
-// Samples arrive one time point at a time; whenever a full window closes
-// (every `step` points once `window` points have been seen), the driver
-// materializes the ring buffer into a reused window series and hands it to
-// the shared core::DetectionEngine, which runs one OutlierDetection round,
-// applies the eta-sigma rule with the current mu / sigma, and folds the
-// round's n_r into the running statistics — so, as the paper notes, mu and
-// sigma keep sharpening as the stream progresses. Per-round latency is what
-// Table VII reports as TPR.
+// Samples arrive one time point at a time and go straight into the shared
+// core::DetectionEngine, which decides when a round closes (every `step`
+// points once `window` points have been seen), runs the OutlierDetection
+// round, applies the eta-sigma rule with the current mu / sigma, and folds
+// the round's n_r into the running statistics — so, as the paper notes, mu
+// and sigma keep sharpening as the stream progresses. Per-round latency is
+// what Table VII reports as TPR.
 #ifndef CAD_CORE_STREAMING_H_
 #define CAD_CORE_STREAMING_H_
 
@@ -22,7 +21,6 @@
 #include "common/thread_annotations.h"
 #include "core/cad_options.h"
 #include "core/engine.h"
-#include "core/sample_window.h"
 #include "core/types.h"
 #include "obs/exposition_server.h"
 #include "ts/multivariate_series.h"
@@ -43,8 +41,9 @@ struct StreamEvent {
   std::vector<int> entered_movers;
   double mu = 0.0;            // statistics used for the decision
   double sigma = 0.0;
-  // Wall-clock latency of this round (window materialization + Algorithm 1 +
-  // decision) — the per-round TPR sample of Table VII, live.
+  // Wall-clock latency of the Push that closed this round (ingest, window
+  // materialization, Algorithm 1 and decision) — the per-round TPR sample
+  // of Table VII, live.
   double round_seconds = 0.0;
 };
 
@@ -69,27 +68,20 @@ struct StreamHealth {
 // by tests/check/concurrency_stress_test.cc.
 class StreamingCad {
  public:
+  // Validates the arguments once (DetectionEngine::ValidateStream); every
+  // WarmUp and Push of an invalid stream returns that InvalidArgument.
   StreamingCad(int n_sensors, const CadOptions& options);
 
   // Seeds mu / sigma from a historical series, mirroring Algorithm 2's
   // WarmUp. Must be called before the first Push.
   [[nodiscard]] Status WarmUp(const ts::MultivariateSeries& historical) EXCLUDES(mu_);
 
-  // Pushes the readings of all sensors for one time point. Returns an event
-  // when this sample completes a round, std::nullopt otherwise. Calls from
-  // multiple producers serialize on the internal mutex.
-  //
-  // Allocates the event's vectors afresh each round; steady-state callers
-  // (the bench harness, fleet-style drivers) should use the reusing overload
-  // below instead.
-  [[nodiscard]] Result<std::optional<StreamEvent>> Push(std::span<const double> readings)
-      EXCLUDES(mu_);
-
-  // Allocation-free form: fills `*event` in place when this sample completes
-  // a round (returning true), reusing the event's vector capacity across
-  // rounds — after a few warm rounds a Push performs zero heap allocations
-  // end to end, matching the engine's own contract (the cad_round_allocs
-  // gauge). The event is untouched when no round completed (false).
+  // Pushes the readings of all sensors for one time point. When this sample
+  // completes a round, fills `*event` in place (reusing its vector capacity,
+  // so after a few warm rounds a Push performs zero heap allocations end to
+  // end) and returns true; otherwise returns false and leaves the event
+  // untouched. Calls from multiple producers serialize on the internal
+  // mutex.
   [[nodiscard]] Result<bool> Push(std::span<const double> readings,
                                   StreamEvent* event) EXCLUDES(mu_);
 
@@ -111,7 +103,7 @@ class StreamingCad {
 
   int samples_seen() const EXCLUDES(mu_) {
     common::MutexLock lock(mu_);
-    return ingest_.samples_seen();
+    return engine_.samples_seen();
   }
   int rounds_completed() const EXCLUDES(mu_) {
     common::MutexLock lock(mu_);
@@ -169,12 +161,12 @@ class StreamingCad {
  private:
   static std::unique_ptr<obs::ExpositionServer> MakeServer(StreamingCad* self);
 
-  void RunRound(StreamEvent* event) REQUIRES(mu_);
   std::string HealthJson() const EXCLUDES(mu_);
   std::string ExplainJson(int round) const EXCLUDES(mu_);
 
   const int n_sensors_;
   const CadOptions options_;
+  const Status config_;  // outcome of validating the constructor arguments
   const obs::PipelineMetrics metrics_;  // stable pointers, atomic recording
 
   // Rank 20 in the global hierarchy (common/lock_order.h): held across a
@@ -182,16 +174,10 @@ class StreamingCad {
   // (Tracer::mu_, rank 31) — so those must rank strictly above this lock.
   mutable common::Mutex mu_{common::lock_order::kStreamingCad,
                             "StreamingCad::mu_"};
-  // The shared batch/streaming engine: round loop, decision, mu/sigma,
-  // anomaly assembly (engine.h).
+  // The engine every driver shares: window and round cadence, round loop,
+  // decision, mu/sigma, anomaly assembly (engine.h). This driver is a thin
+  // locked facade over its Push, as each fleet tenant is.
   DetectionEngine engine_ GUARDED_BY(mu_);
-
-  // The extracted ingest state (ring buffer + round cadence) shared with the
-  // fleet's per-tenant path, plus the reused sensor-major window the engine
-  // consumes — this driver is a thin single-tenant facade over the same
-  // ingest -> materialize -> engine.Step path fleet::FleetEngine drives.
-  SampleWindow ingest_ GUARDED_BY(mu_);
-  ts::MultivariateSeries window_ GUARDED_BY(mu_);
 
   // Declared last so it is destroyed first: the destructor joins the server
   // thread, whose handlers lock mu_ and read the guarded state above — both

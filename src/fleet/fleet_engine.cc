@@ -49,8 +49,6 @@ FleetEngine::Tenant::Tenant(std::string tenant_name, int sensors,
       }()),
       queue(sensors, queue_capacity),
       mu(common::lock_order::kFleetTenant, "fleet::Tenant::mu"),
-      ingest(sensors, options.window, options.step),
-      window_series(sensors, options.window),
       cad_engine(sensors, options) {}
 
 FleetEngine::FleetEngine(const FleetOptions& options)
@@ -81,14 +79,11 @@ Result<int> FleetEngine::AddTenant(const std::string& name, int n_sensors,
   if (tenant_index_.count(name) > 0) {
     return Status::InvalidArgument("duplicate tenant name '" + name + "'");
   }
-  if (n_sensors <= 0) {
-    return Status::InvalidArgument("n_sensors must be positive");
-  }
   if (!(weight > 0.0)) {
     return Status::InvalidArgument("tenant weight must be positive");
   }
-  // The tenant window is its own series: validate against window length.
-  CAD_RETURN_NOT_OK(cad_options.Validate(cad_options.window));
+  CAD_RETURN_NOT_OK(core::DetectionEngine::ValidateStream(n_sensors,
+                                                          cad_options));
 
   const int index = static_cast<int>(tenants_.size());
   tenants_.push_back(std::make_unique<Tenant>(name, n_sensors, cad_options,
@@ -143,11 +138,16 @@ void FleetEngine::Drain() {
   }
 }
 
-Result<bool> FleetEngine::Push(int tenant, std::span<const double> readings) {
+Status FleetEngine::CheckTenantIndex(int tenant) const {
   if (tenant < 0 || tenant >= n_tenants()) {
     return Status::InvalidArgument("tenant index " + std::to_string(tenant) +
                                    " out of range");
   }
+  return Status::Ok();
+}
+
+Result<bool> FleetEngine::Push(int tenant, std::span<const double> readings) {
+  CAD_RETURN_NOT_OK(CheckTenantIndex(tenant));
   Seal();  // first Push seals the tenant set (pre-Start pre-filling)
   Tenant& t = *tenants_[static_cast<size_t>(tenant)];
   if (static_cast<int>(readings.size()) != t.n_sensors) {
@@ -210,13 +210,10 @@ bool FleetEngine::ServiceOne(std::vector<double>* staging) {
     const size_t anomalies_before = tenant.cad_engine.anomalies().size();
     for (int drained = 0; drained < options_.quantum_samples; ++drained) {
       if (!tenant.queue.PopInto(staging->data())) break;
-      const bool round_due = tenant.ingest.Append(std::span<const double>(
-          staging->data(), static_cast<size_t>(tenant.n_sensors)));
-      if (!round_due) continue;
+      const std::span<const double> sample(
+          staging->data(), static_cast<size_t>(tenant.n_sensors));
       Stopwatch round_watch;
-      tenant.ingest.MaterializeInto(&tenant.window_series);
-      tenant.cad_engine.Step(tenant.window_series, 0, tenant.ingest.window_start_time(),
-                         tenant.ingest.window_end_time(), &arena->workspace);
+      if (!tenant.cad_engine.Push(sample, &arena->workspace)) continue;
       metrics_.round_seconds->Observe(round_watch.ElapsedSeconds());
       ++rounds_run;
       ++tenant.rounds_serviced;
@@ -233,8 +230,12 @@ bool FleetEngine::ServiceOne(std::vector<double>* staging) {
   }
   const int64_t alloc_delta = common::ThreadAllocCount() - allocs_before;
 
-  arena->max_sensors = std::max(arena->max_sensors, tenant.n_sensors);
-  arena->max_window = std::max(arena->max_window, tenant.options.window);
+  // Only a round grows the arena's buffers: a quantum that closed none
+  // leaves them at their old size and must not vouch for this problem size.
+  if (rounds_run > 0) {
+    arena->max_sensors = std::max(arena->max_sensors, tenant.n_sensors);
+    arena->max_window = std::max(arena->max_window, tenant.options.window);
+  }
   pool_.Release(arena);
 
   metrics_.quanta_total->Increment();
@@ -267,10 +268,7 @@ Result<int> FleetEngine::TenantIndex(const std::string& name) const {
 }
 
 Result<FleetEngine::TenantStatus> FleetEngine::TenantInfo(int tenant) const {
-  if (tenant < 0 || tenant >= n_tenants()) {
-    return Status::InvalidArgument("tenant index " + std::to_string(tenant) +
-                                   " out of range");
-  }
+  CAD_RETURN_NOT_OK(CheckTenantIndex(tenant));
   const Tenant& t = *tenants_[static_cast<size_t>(tenant)];
   TenantStatus status;
   status.name = t.name;
@@ -278,7 +276,7 @@ Result<FleetEngine::TenantStatus> FleetEngine::TenantInfo(int tenant) const {
   status.n_sensors = t.n_sensors;
   {
     common::MutexLock lock(t.mu);
-    status.samples_seen = t.ingest.samples_seen();
+    status.samples_seen = t.cad_engine.samples_seen();
     status.rounds = t.rounds_serviced;
     status.anomaly_open = t.cad_engine.anomaly_open();
   }
@@ -290,13 +288,18 @@ Result<FleetEngine::TenantStatus> FleetEngine::TenantInfo(int tenant) const {
 
 Result<std::vector<core::Anomaly>> FleetEngine::TenantAnomalies(
     int tenant) const {
-  if (tenant < 0 || tenant >= n_tenants()) {
-    return Status::InvalidArgument("tenant index " + std::to_string(tenant) +
-                                   " out of range");
-  }
+  CAD_RETURN_NOT_OK(CheckTenantIndex(tenant));
   const Tenant& t = *tenants_[static_cast<size_t>(tenant)];
   common::MutexLock lock(t.mu);
   return t.cad_engine.anomalies();
+}
+
+Result<std::vector<obs::DecisionRecord>> FleetEngine::TenantFlightLog(
+    int tenant) const {
+  CAD_RETURN_NOT_OK(CheckTenantIndex(tenant));
+  const Tenant& t = *tenants_[static_cast<size_t>(tenant)];
+  common::MutexLock lock(t.mu);
+  return t.cad_engine.recorder().Records();
 }
 
 std::string FleetEngine::MetricsText() const {

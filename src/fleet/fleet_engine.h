@@ -8,8 +8,9 @@
 //                               |
 //   WeightedScheduler (stride; heavy tenants cannot starve light ones)
 //                               |
-//   worker: drain a quantum of samples -> SampleWindow -> engine.Step
-//           with a RoundWorkspace borrowed from the shared WorkspacePool
+//   worker: drain a quantum of samples -> engine.Push, one sample at a
+//           time, with a RoundWorkspace borrowed from the shared
+//           WorkspacePool
 //
 // Each tenant owns a private obs::Registry, so the per-tenant pipeline
 // metrics (cad_rounds_total, cad_round_seconds, ...) never contend across
@@ -20,8 +21,8 @@
 //
 // Steady-state allocation contract: after a tenant's warm-up rounds, a
 // service quantum on a warm arena performs zero heap allocations — queue
-// pop, window materialization, the whole engine round, and telemetry all
-// reuse capacity. The audit is live: every steady quantum's worker-thread
+// pop, the engine's ingest and round, and telemetry all reuse capacity. The
+// audit is live: every steady quantum's worker-thread
 // allocation delta feeds cad_fleet_steady_allocs_total (0 by contract,
 // asserted by tests/fleet/fleet_engine_test.cc and bench/fleet_bench).
 // Excluded from "steady": quanta during a tenant's first
@@ -59,14 +60,12 @@
 #include "common/thread_annotations.h"
 #include "core/cad_options.h"
 #include "core/engine.h"
-#include "core/sample_window.h"
 #include "fleet/fleet_metrics.h"
 #include "fleet/scheduler.h"
 #include "fleet/workspace_pool.h"
 #include "obs/exposition_server.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "ts/multivariate_series.h"
 
 namespace cad::fleet {
 
@@ -152,7 +151,7 @@ class FleetEngine {
     std::string name;
     double weight = 0.0;
     int n_sensors = 0;
-    int samples_seen = 0;     // samples serviced into the tenant's window
+    int samples_seen = 0;     // samples serviced into the tenant's engine
     uint64_t rounds = 0;
     uint64_t accepted = 0;    // queue accepts
     uint64_t rejected = 0;    // queue rejections (backpressure)
@@ -164,6 +163,11 @@ class FleetEngine {
   // Anomalies the tenant's engine has fully closed so far (a copy, taken
   // under the tenant lock).
   [[nodiscard]] Result<std::vector<core::Anomaly>> TenantAnomalies(
+      int tenant) const;
+
+  // The tenant's flight-recorder ring, oldest round first (a copy, taken
+  // under the tenant lock); empty when recording is disabled.
+  [[nodiscard]] Result<std::vector<obs::DecisionRecord>> TenantFlightLog(
       int tenant) const;
 
   // The /metrics body: fleet-level rollups followed by every tenant's
@@ -180,8 +184,8 @@ class FleetEngine {
   const FleetMetrics& metrics() const { return metrics_; }
 
  private:
-  // One tenant stream: its queue, its engine, and the ingest state the
-  // worker drives under `mu` during a service quantum.
+  // One tenant stream: its queue and the engine the worker pushes its
+  // samples into under `mu` during a service quantum.
   struct Tenant {
     Tenant(std::string tenant_name, int sensors, const core::CadOptions& opts,
            double tenant_weight, int queue_capacity);
@@ -203,15 +207,14 @@ class FleetEngine {
     // scheduler's busy flag means at most one worker contends with the
     // occasional accessor/exposition reader.
     mutable common::Mutex mu;
-    core::SampleWindow ingest GUARDED_BY(mu);
-    // Distinctive names (not `window`/`engine`/`rounds`): guarded members
-    // index cad_lint's CL011 by name tree-wide, and those collide with
-    // ubiquitous unguarded struct fields.
-    ts::MultivariateSeries window_series GUARDED_BY(mu);
+    // Distinctive names (not `engine`/`rounds`): guarded members index
+    // cad_lint's CL011 by name tree-wide, and those collide with ubiquitous
+    // unguarded struct fields.
     core::DetectionEngine cad_engine GUARDED_BY(mu);
     uint64_t rounds_serviced GUARDED_BY(mu) = 0;
   };
 
+  [[nodiscard]] Status CheckTenantIndex(int tenant) const;
   // Builds the scheduler from the registered weights; after this the tenant
   // set is immutable (which is what makes `tenants_` safe to read without a
   // fleet-wide lock).

@@ -42,7 +42,7 @@ namespace cad::obs {
 // deterministic prefix directly.
 struct DecisionRecord {
   int round = -1;
-  int window_start = 0;  // window span [start, end) on the driver time axis
+  int window_start = 0;  // window span [start, end) on the engine time axis
   int window_end = 0;
   int n_variations = 0;  // n_r (Definition 8)
   double mu = 0.0;       // statistics the decision was judged against

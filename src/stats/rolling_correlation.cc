@@ -1,8 +1,9 @@
 #include "stats/rolling_correlation.h"
 
-#include "check/check.h"
-
+#include <algorithm>
 #include <cmath>
+
+#include "check/check.h"
 
 namespace cad::stats {
 
@@ -23,11 +24,8 @@ RollingCorrelationTracker::RollingCorrelationTracker(int n_sensors, int window,
   CAD_CHECK(n_sensors > 0 && window > 0, "bad tracker shape");
 }
 
-void RollingCorrelationTracker::Accumulate(const ts::MultivariateSeries& series,
-                                           int column, double sign) {
-  // Gather the column once (series is sensor-major).
-  std::vector<double>& values = column_scratch_;
-  for (int i = 0; i < n_sensors_; ++i) values[i] = series.value(i, column);
+void RollingCorrelationTracker::Accumulate(const double* values, double sign)
+    CAD_REALTIME_AUDITED {
   for (int i = 0; i < n_sensors_; ++i) {
     const double xi = values[i];
     sum_[i] += sign * xi;
@@ -39,41 +37,46 @@ void RollingCorrelationTracker::Accumulate(const ts::MultivariateSeries& series,
   }
 }
 
+void RollingCorrelationTracker::Clear() {
+  std::fill(sum_.begin(), sum_.end(), 0.0);
+  std::fill(sum_sq_.begin(), sum_sq_.end(), 0.0);
+  std::fill(cross_.begin(), cross_.end(), 0.0);
+  held_ = 0;
+  removed_ = 0;
+}
+
 void RollingCorrelationTracker::Reset(const ts::MultivariateSeries& series,
                                       int start) {
   CAD_CHECK(start >= 0 && start + window_ <= series.length(),
             "window out of range");
-  std::fill(sum_.begin(), sum_.end(), 0.0);
-  std::fill(sum_sq_.begin(), sum_sq_.end(), 0.0);
-  std::fill(cross_.begin(), cross_.end(), 0.0);
+  Clear();
   for (int t = start; t < start + window_; ++t) {
-    Accumulate(series, t, +1.0);
+    // Gather the column once (series is sensor-major).
+    for (int i = 0; i < n_sensors_; ++i) {
+      column_scratch_[i] = series.value(i, t);
+    }
+    Add(column_scratch_);
   }
-  start_ = start;
-  slides_since_refresh_ = 0;
 }
 
-void RollingCorrelationTracker::SlideTo(
-    const ts::MultivariateSeries& series, int new_start) CAD_REALTIME_AUDITED {
-  CAD_CHECK(new_start >= 0 && new_start + window_ <= series.length(),
-            "window out of range");
-  const bool overlaps =
-      start_ >= 0 && new_start > start_ && new_start <= start_ + window_;
-  if (!overlaps || ++slides_since_refresh_ >= refresh_interval_) {
-    Reset(series, new_start);
-    return;
-  }
-  // Remove the columns leaving the window, add the ones entering it.
-  for (int t = start_; t < new_start; ++t) Accumulate(series, t, -1.0);
-  for (int t = start_ + window_; t < new_start + window_; ++t) {
-    Accumulate(series, t, +1.0);
-  }
-  start_ = new_start;
+void RollingCorrelationTracker::Add(std::span<const double> sample)
+    CAD_REALTIME_AUDITED {
+  CAD_DCHECK(static_cast<int>(sample.size()) == n_sensors_ && held_ < window_);
+  Accumulate(sample.data(), +1.0);
+  ++held_;
+}
+
+void RollingCorrelationTracker::Remove(std::span<const double> sample)
+    CAD_REALTIME_AUDITED {
+  CAD_DCHECK(static_cast<int>(sample.size()) == n_sensors_ && held_ > 0);
+  Accumulate(sample.data(), -1.0);
+  --held_;
+  ++removed_;
 }
 
 void RollingCorrelationTracker::CorrelationsInto(CorrelationMatrix* out) const
     CAD_REALTIME_AUDITED {
-  CAD_CHECK(start_ >= 0, "tracker not positioned; call Reset first");
+  CAD_CHECK(held_ == window_, "tracker window not full");
   out->Reset(n_sensors_);
   CorrelationMatrix& corr = *out;
   const double w = static_cast<double>(window_);

@@ -100,6 +100,7 @@ TEST(ConcurrencyStressTest, ParallelStreamsShareRegistryAndTracer) {
 
       while (!go.load(std::memory_order_acquire)) {}
       std::vector<double> sample(kSensors);
+      core::StreamEvent event;
       for (int t = 0; t < kSamples; ++t) {
         for (int i = 0; i < kSensors; ++i) {
           // Deterministic correlated signal with a per-stream phase; the
@@ -107,10 +108,9 @@ TEST(ConcurrencyStressTest, ParallelStreamsShareRegistryAndTracer) {
           sample[static_cast<size_t>(i)] =
               std::sin(0.1 * t + 0.5 * s) + 0.01 * i;
         }
-        const Result<std::optional<core::StreamEvent>> event =
-            stream.Push(sample);
-        ASSERT_TRUE(event.ok()) << event.status().ToString();
-        if (event.value().has_value()) {
+        const Result<bool> pushed = stream.Push(sample, &event);
+        ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+        if (pushed.value()) {
           rounds_seen.fetch_add(1, std::memory_order_relaxed);
         }
       }

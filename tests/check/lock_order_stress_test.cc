@@ -68,12 +68,13 @@ TEST(LockOrderStressTest, StreamsServersAndScrapersInterleave) {
 
       while (!go.load(std::memory_order_acquire)) {}
       std::vector<double> sample(kSensors);
+      core::StreamEvent event;
       for (int t = 0; t < kSamples; ++t) {
         for (int i = 0; i < kSensors; ++i) {
           sample[static_cast<size_t>(i)] =
               std::sin(0.1 * t + 0.7 * s) + 0.01 * i;
         }
-        ASSERT_TRUE(stream.Push(sample).ok());
+        ASSERT_TRUE(stream.Push(sample, &event).ok());
         if (t % 16 == 0) (void)stream.Health();
       }
       // The 160-sample burst finishes in milliseconds; on a loaded

@@ -67,22 +67,22 @@ TEST(EngineAllocTest, StreamingSteadyStateRoundsAreAllocationFree) {
   int steady_rounds = 0;
   bool prev_abnormal = false;
   std::vector<double> sample(scenario.test.n_sensors());
+  StreamEvent event;
   for (int t = 0; t < scenario.test.length(); ++t) {
     for (int i = 0; i < scenario.test.n_sensors(); ++i) {
       sample[i] = scenario.test.value(i, t);
     }
-    auto event = streaming.Push(sample).ValueOrDie();
-    if (!event.has_value()) continue;
+    if (!streaming.Push(sample, &event).ValueOrDie()) continue;
     // Rounds that open or close an anomaly may append to the assembler by
     // design; the zero contract covers steady-state rounds only.
-    const bool transition = event->abnormal || prev_abnormal;
-    prev_abnormal = event->abnormal;
-    if (event->round < kWarmupRounds || transition) continue;
+    const bool transition = event.abnormal || prev_abnormal;
+    prev_abnormal = event.abnormal;
+    if (event.round < kWarmupRounds || transition) continue;
     const double allocs = RoundAllocsGauge(registry.TakeSnapshot());
 #if CAD_VALIDATE_ENABLED
     EXPECT_GE(allocs, 0.0);  // validators allocate by design at level=full
 #else
-    EXPECT_EQ(allocs, 0.0) << "round " << event->round
+    EXPECT_EQ(allocs, 0.0) << "round " << event.round
                            << " allocated on the steady-state path";
 #endif
     ++steady_rounds;
@@ -106,20 +106,20 @@ TEST(EngineAllocTest, FlightRecorderWraparoundStaysAllocationFree) {
   int steady_rounds = 0;
   bool prev_abnormal = false;
   std::vector<double> sample(scenario.test.n_sensors());
+  StreamEvent event;
   for (int t = 0; t < scenario.test.length(); ++t) {
     for (int i = 0; i < scenario.test.n_sensors(); ++i) {
       sample[i] = scenario.test.value(i, t);
     }
-    auto event = streaming.Push(sample).ValueOrDie();
-    if (!event.has_value()) continue;
-    const bool transition = event->abnormal || prev_abnormal;
-    prev_abnormal = event->abnormal;
-    if (event->round < kWarmupRounds || transition) continue;
+    if (!streaming.Push(sample, &event).ValueOrDie()) continue;
+    const bool transition = event.abnormal || prev_abnormal;
+    prev_abnormal = event.abnormal;
+    if (event.round < kWarmupRounds || transition) continue;
     const double allocs = RoundAllocsGauge(registry.TakeSnapshot());
 #if CAD_VALIDATE_ENABLED
     EXPECT_GE(allocs, 0.0);
 #else
-    EXPECT_EQ(allocs, 0.0) << "round " << event->round
+    EXPECT_EQ(allocs, 0.0) << "round " << event.round
                            << " allocated while flight recording";
 #endif
     ++steady_rounds;
@@ -151,20 +151,20 @@ TEST(EngineAllocTest, LargeNonDefaultCapacityStaysAllocationFree) {
   int steady_rounds = 0;
   bool prev_abnormal = false;
   std::vector<double> sample(scenario.test.n_sensors());
+  StreamEvent event;
   for (int t = 0; t < scenario.test.length(); ++t) {
     for (int i = 0; i < scenario.test.n_sensors(); ++i) {
       sample[i] = scenario.test.value(i, t);
     }
-    auto event = streaming.Push(sample).ValueOrDie();
-    if (!event.has_value()) continue;
-    const bool transition = event->abnormal || prev_abnormal;
-    prev_abnormal = event->abnormal;
-    if (event->round < kWarmupRounds || transition) continue;
+    if (!streaming.Push(sample, &event).ValueOrDie()) continue;
+    const bool transition = event.abnormal || prev_abnormal;
+    prev_abnormal = event.abnormal;
+    if (event.round < kWarmupRounds || transition) continue;
     const double allocs = RoundAllocsGauge(registry.TakeSnapshot());
 #if CAD_VALIDATE_ENABLED
     EXPECT_GE(allocs, 0.0);
 #else
-    EXPECT_EQ(allocs, 0.0) << "round " << event->round
+    EXPECT_EQ(allocs, 0.0) << "round " << event.round
                            << " allocated with a large flight ring";
 #endif
     ++steady_rounds;
@@ -191,6 +191,7 @@ struct AllocSweepCase {
   bool private_registry;    // false = CadOptions::metrics_registry unset
                             // (process-global registry)
   int flight_log_capacity;  // 0 disables the recorder entirely
+  bool incremental_correlation = false;  // rolling tracker slides per sample
 };
 
 class EngineAllocSweepTest : public ::testing::TestWithParam<AllocSweepCase> {};
@@ -202,6 +203,7 @@ TEST_P(EngineAllocSweepTest, SteadyStateRoundsAreAllocationFree) {
   obs::Registry registry;
   CadOptions options = MakeOptions(c.private_registry ? &registry : nullptr);
   options.flight_log_capacity = c.flight_log_capacity;
+  options.incremental_correlation = c.incremental_correlation;
   StreamingCad streaming(scenario.test.n_sensors(), options);
   ASSERT_TRUE(streaming.WarmUp(scenario.train).ok());
 
@@ -209,15 +211,15 @@ TEST_P(EngineAllocSweepTest, SteadyStateRoundsAreAllocationFree) {
   int steady_rounds = 0;
   bool prev_abnormal = false;
   std::vector<double> sample(scenario.test.n_sensors());
+  StreamEvent event;
   for (int t = 0; t < scenario.test.length(); ++t) {
     for (int i = 0; i < scenario.test.n_sensors(); ++i) {
       sample[i] = scenario.test.value(i, t);
     }
-    auto event = streaming.Push(sample).ValueOrDie();
-    if (!event.has_value()) continue;
-    const bool transition = event->abnormal || prev_abnormal;
-    prev_abnormal = event->abnormal;
-    if (event->round < kWarmupRounds || transition) continue;
+    if (!streaming.Push(sample, &event).ValueOrDie()) continue;
+    const bool transition = event.abnormal || prev_abnormal;
+    prev_abnormal = event.abnormal;
+    if (event.round < kWarmupRounds || transition) continue;
     // The gauge lives wherever the engine publishes telemetry: the private
     // registry when one was supplied, the process-global one otherwise (we
     // read immediately after our own round, so the last write is ours).
@@ -227,7 +229,7 @@ TEST_P(EngineAllocSweepTest, SteadyStateRoundsAreAllocationFree) {
 #if CAD_VALIDATE_ENABLED
     EXPECT_GE(allocs, 0.0);  // validators allocate by design at level=full
 #else
-    EXPECT_EQ(allocs, 0.0) << "round " << event->round << " allocated under "
+    EXPECT_EQ(allocs, 0.0) << "round " << event.round << " allocated under "
                            << c.name;
 #endif
     ++steady_rounds;
@@ -241,21 +243,21 @@ INSTANTIATE_TEST_SUITE_P(
         AllocSweepCase{"private_registry_flight_off", true, 0},
         AllocSweepCase{"private_registry_flight_default", true, 256},
         AllocSweepCase{"global_registry_flight_off", false, 0},
-        AllocSweepCase{"global_registry_flight_default", false, 256}),
+        AllocSweepCase{"global_registry_flight_default", false, 256},
+        AllocSweepCase{"private_registry_incremental", true, 256, true}),
     [](const ::testing::TestParamInfo<AllocSweepCase>& info) {
       return std::string(info.param.name);
     });
 
 TEST(EngineAllocTest, ReusingPushOverloadIsAllocationFreeEndToEnd) {
   // The cad_round_allocs gauge only audits the engine's round; this test
-  // audits the *whole* driver call — queue-free ingest, window
-  // materialization, engine step and event fill-in — by measuring the
-  // thread allocation delta across every Push(sample, &event). This is the
-  // regression fence for the bench discrepancy where the harness reported
-  // ~14 allocs/round while the gauge read 0: those were harness-side
-  // allocations (the allocating Push overload rebuilding event vectors)
-  // leaking into the measurement window. With the reusing overload, steady
-  // state must be zero end to end.
+  // audits the *whole* driver call — the engine's ingest and round plus the
+  // event fill-in — by measuring the thread allocation delta across every
+  // Push(sample, &event). This is the regression fence for the bench
+  // discrepancy where the harness reported ~14 allocs/round while the gauge
+  // read 0: those were harness-side allocations (event vectors rebuilt every
+  // round) leaking into the measurement window. With the event reused,
+  // steady state must be zero end to end.
   common::LinkAllocHook();
   const testing::SmallScenario scenario = testing::MakeSmallScenario();
   obs::Registry registry;

@@ -34,11 +34,11 @@ TEST(StreamingCadTest, EventsFireOnRoundBoundaries) {
   ASSERT_TRUE(streaming.WarmUp(scenario.train).ok());
 
   int events = 0;
+  StreamEvent event;
   for (int t = 0; t < scenario.test.length(); ++t) {
-    auto event = streaming.Push(SampleAt(scenario.test, t)).ValueOrDie();
-    if (event.has_value()) {
+    if (streaming.Push(SampleAt(scenario.test, t), &event).ValueOrDie()) {
       ++events;
-      EXPECT_EQ(event->time_index, t);
+      EXPECT_EQ(event.time_index, t);
       // Rounds fire exactly when (t+1 - window) % step == 0 past the window.
       EXPECT_GE(t + 1, options.window);
       EXPECT_EQ((t + 1 - options.window) % options.step, 0);
@@ -63,11 +63,11 @@ TEST(StreamingCadTest, MatchesBatchRoundStatistics) {
   ASSERT_TRUE(streaming.WarmUp(scenario.train).ok());
   std::vector<int> streamed_variations;
   std::vector<bool> streamed_abnormal;
+  StreamEvent event;
   for (int t = 0; t < scenario.test.length(); ++t) {
-    auto event = streaming.Push(SampleAt(scenario.test, t)).ValueOrDie();
-    if (event.has_value()) {
-      streamed_variations.push_back(event->n_variations);
-      streamed_abnormal.push_back(event->abnormal);
+    if (streaming.Push(SampleAt(scenario.test, t), &event).ValueOrDie()) {
+      streamed_variations.push_back(event.n_variations);
+      streamed_abnormal.push_back(event.abnormal);
     }
   }
 
@@ -89,8 +89,9 @@ TEST(StreamingCadTest, AnomaliesMatchBatch) {
 
   StreamingCad streaming(scenario.test.n_sensors(), options);
   ASSERT_TRUE(streaming.WarmUp(scenario.train).ok());
+  StreamEvent event;
   for (int t = 0; t < scenario.test.length(); ++t) {
-    streaming.Push(SampleAt(scenario.test, t)).ValueOrDie();
+    streaming.Push(SampleAt(scenario.test, t), &event).ValueOrDie();
   }
   // Any anomaly still open at stream end is not yet closed; batch closes it.
   const std::vector<Anomaly> stream_anomalies = streaming.anomalies();
@@ -108,7 +109,8 @@ TEST(StreamingCadTest, AnomaliesMatchBatch) {
 TEST(StreamingCadTest, WarmUpAfterPushFails) {
   const testing::SmallScenario scenario = testing::MakeSmallScenario();
   StreamingCad streaming(scenario.test.n_sensors(), ScenarioOptions());
-  streaming.Push(SampleAt(scenario.test, 0)).ValueOrDie();
+  StreamEvent event;
+  streaming.Push(SampleAt(scenario.test, 0), &event).ValueOrDie();
   EXPECT_EQ(streaming.WarmUp(scenario.train).code(),
             StatusCode::kFailedPrecondition);
 }
@@ -116,7 +118,47 @@ TEST(StreamingCadTest, WarmUpAfterPushFails) {
 TEST(StreamingCadTest, RejectsWrongSampleWidth) {
   StreamingCad streaming(4, ScenarioOptions());
   const std::vector<double> bad(3, 0.0);
-  EXPECT_FALSE(streaming.Push(bad).ok());
+  StreamEvent event;
+  EXPECT_FALSE(streaming.Push(bad, &event).ok());
+}
+
+// An invalid stream answers every call with the InvalidArgument its
+// constructor found and never runs a round.
+void ExpectRejectedStream(int n_sensors, const CadOptions& options) {
+  const testing::SmallScenario scenario = testing::MakeSmallScenario();
+  StreamingCad streaming(n_sensors, options);
+  EXPECT_EQ(streaming.WarmUp(scenario.train).code(),
+            StatusCode::kInvalidArgument);
+  StreamEvent event;
+  for (int t = 0; t < options.window + options.step + 1; ++t) {
+    const Result<bool> pushed =
+        streaming.Push(SampleAt(scenario.test, t), &event);
+    ASSERT_FALSE(pushed.ok()) << "t=" << t;
+    EXPECT_EQ(pushed.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(streaming.samples_seen(), 0);
+  EXPECT_EQ(streaming.rounds_completed(), 0);
+}
+
+TEST(StreamingCadTest, RejectsNonPositiveShape) {
+  // step = 0 must be rejected before it reaches the round cadence, which
+  // divides by it once the window fills.
+  CadOptions options = ScenarioOptions();
+  options.step = 0;
+  ExpectRejectedStream(12, options);
+  options = ScenarioOptions();
+  options.window = 0;
+  ExpectRejectedStream(12, options);
+  ExpectRejectedStream(0, ScenarioOptions());
+}
+
+TEST(StreamingCadTest, RejectsStepNotSmallerThanWindow) {
+  // CadOptions::Validate requires s < w.
+  CadOptions options = ScenarioOptions();
+  options.step = options.window;
+  ExpectRejectedStream(12, options);
+  options.step = options.window + 1;
+  ExpectRejectedStream(12, options);
 }
 
 TEST(StreamingCadTest, MuSigmaSharpenOverStream) {
@@ -125,9 +167,11 @@ TEST(StreamingCadTest, MuSigmaSharpenOverStream) {
   ASSERT_TRUE(streaming.WarmUp(scenario.train).ok());
   const double mu_initial = streaming.mu();
   int rounds = 0;
+  StreamEvent event;
   for (int t = 0; t < scenario.test.length() && rounds < 30; ++t) {
-    auto event = streaming.Push(SampleAt(scenario.test, t)).ValueOrDie();
-    if (event.has_value()) ++rounds;
+    if (streaming.Push(SampleAt(scenario.test, t), &event).ValueOrDie()) {
+      ++rounds;
+    }
   }
   // Statistics keep accumulating (count grows), values stay finite.
   EXPECT_GE(streaming.mu(), 0.0);
@@ -141,11 +185,13 @@ TEST(StreamingCadTest, ExplainAnswersForLiveRounds) {
   ASSERT_TRUE(streaming.WarmUp(scenario.train).ok());
   int last_round = -1;
   int last_n_variations = -1;
+  StreamEvent event;
   for (int t = 0; t < scenario.test.length(); ++t) {
-    auto event = streaming.Push(SampleAt(scenario.test, t)).ValueOrDie();
-    if (!event.has_value()) continue;
-    last_round = event->round;
-    last_n_variations = event->n_variations;
+    if (!streaming.Push(SampleAt(scenario.test, t), &event).ValueOrDie()) {
+      continue;
+    }
+    last_round = event.round;
+    last_n_variations = event.n_variations;
   }
   ASSERT_GE(last_round, 1);
 
@@ -173,8 +219,9 @@ TEST(StreamingCadTest, ExplainIsEmptyWhenRecordingIsDisabled) {
   options.flight_log_capacity = 0;
   StreamingCad streaming(scenario.test.n_sensors(), options);
   ASSERT_TRUE(streaming.WarmUp(scenario.train).ok());
+  StreamEvent event;
   for (int t = 0; t < 200; ++t) {
-    streaming.Push(SampleAt(scenario.test, t)).ValueOrDie();
+    streaming.Push(SampleAt(scenario.test, t), &event).ValueOrDie();
   }
   EXPECT_GT(streaming.rounds_completed(), 0);
   EXPECT_FALSE(streaming.Explain(0).has_value());

@@ -168,6 +168,45 @@ TEST(FleetEngineTest, SteadyStateQuantaAreAllocationFreeFleetWide) {
   EXPECT_EQ(pool.in_use, 0u);
 }
 
+TEST(FleetEngineTest, QuantumWithoutARoundLeavesTheArenaCold) {
+  // A quantum that closes no round never grows its arena, so the first
+  // round later served on that arena is growth, not steady state — even
+  // with no warm-up rounds to hide it.
+  common::LinkAllocHook();
+  const testing::SmallScenario scenario = testing::MakeSmallScenario();
+  FleetOptions fleet_options;
+  fleet_options.n_workers = 1;
+  fleet_options.alloc_warmup_rounds = 0;
+  obs::Registry fleet_registry;
+  fleet_options.metrics_registry = &fleet_registry;
+  FleetEngine fleet(fleet_options);
+  const core::CadOptions cad_options = MakeCadOptions();
+  const int tenant =
+      fleet.AddTenant("t0", scenario.test.n_sensors(), cad_options)
+          .ValueOrDie();
+  std::vector<double> sample(
+      static_cast<size_t>(scenario.test.n_sensors()));
+  auto push = [&](int from, int to) {
+    for (int t = from; t < to; ++t) {
+      for (int i = 0; i < scenario.test.n_sensors(); ++i) {
+        sample[static_cast<size_t>(i)] = scenario.test.value(i, t);
+      }
+      ASSERT_TRUE(fleet.Push(tenant, sample).ValueOrDie());
+    }
+  };
+  push(0, 10);  // one quantum, fewer samples than a window: no round
+  ASSERT_TRUE(fleet.Start().ok());
+  fleet.Drain();
+  push(10, cad_options.window);  // closes exactly the first round
+  fleet.Drain();
+  fleet.Stop();
+
+  const obs::Snapshot snapshot = fleet_registry.TakeSnapshot();
+  EXPECT_EQ(snapshot.FindCounter("cad_fleet_rounds_total")->value, 1u);
+  EXPECT_EQ(snapshot.FindCounter("cad_fleet_steady_rounds_total")->value, 0u);
+  EXPECT_EQ(snapshot.FindCounter("cad_fleet_steady_allocs_total")->value, 0u);
+}
+
 TEST(FleetEngineTest, FullQueueRejectsWithBackpressureAccounting) {
   FleetOptions fleet_options;
   fleet_options.queue_capacity = 8;

@@ -42,11 +42,12 @@ CadOptions MakeOptions(obs::Registry* registry) {
 // Pushes the whole test split through a stream, sample by sample.
 void PushAll(StreamingCad* streaming, const ts::MultivariateSeries& series) {
   std::vector<double> sample(series.n_sensors());
+  StreamEvent event;
   for (int t = 0; t < series.length(); ++t) {
     for (int i = 0; i < series.n_sensors(); ++i) {
       sample[i] = series.value(i, t);
     }
-    ASSERT_TRUE(streaming->Push(sample).ok());
+    ASSERT_TRUE(streaming->Push(sample, &event).ok());
   }
 }
 

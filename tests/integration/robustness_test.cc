@@ -108,12 +108,13 @@ TEST_P(RandomizedDetector, StreamingNeverCrashes) {
     (void)streaming.WarmUp(c.train);
   }
   std::vector<double> sample(c.test.n_sensors());
+  StreamEvent event;
   for (int t = 0; t < c.test.length(); ++t) {
     for (int i = 0; i < c.test.n_sensors(); ++i) {
       sample[i] = c.test.value(i, t);
     }
-    const auto event = streaming.Push(sample);
-    ASSERT_TRUE(event.ok());
+    const Result<bool> pushed = streaming.Push(sample, &event);
+    ASSERT_TRUE(pushed.ok());
   }
   for (const Anomaly& anomaly : streaming.anomalies()) {
     EXPECT_LE(anomaly.first_round, anomaly.last_round);

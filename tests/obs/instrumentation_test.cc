@@ -123,13 +123,13 @@ TEST(InstrumentationTest, StreamingCadRecordsSamplesAndRoundLatency) {
   const ts::MultivariateSeries live = MakeSeries(n_sensors, 200, 5);
 
   int events = 0;
+  core::StreamEvent event;
   for (int t = 0; t < live.length(); ++t) {
     std::vector<double> sample(n_sensors);
     for (int i = 0; i < n_sensors; ++i) sample[i] = live.value(i, t);
-    const auto event = stream.Push(sample).ValueOrDie();
-    if (event.has_value()) {
+    if (stream.Push(sample, &event).ValueOrDie()) {
       ++events;
-      EXPECT_GE(event->round_seconds, 0.0);
+      EXPECT_GE(event.round_seconds, 0.0);
     }
   }
   ASSERT_GT(events, 0);

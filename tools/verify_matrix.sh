@@ -18,10 +18,11 @@
 #   6. thread-safety — Clang build with -Werror=thread-safety armed by the
 #                   CAPABILITY/GUARDED_BY annotations; SKIPs when clang++ is
 #                   not installed (GCC compiles the annotations to no-ops).
-#   7. engine     — focused re-run of the batch/streaming equivalence and
-#                   allocation-gauge tests under the asan-ubsan and tsan
-#                   presets: byte-identical drivers must stay identical when
-#                   the sanitizers perturb layout and scheduling.
+#   7. engine     — focused re-run of the batch/stream/fleet equivalence,
+#                   allocation-gauge and SampleWindow cadence tests under the
+#                   asan-ubsan and tsan presets: byte-identical drivers must
+#                   stay identical when the sanitizers perturb layout and
+#                   scheduling.
 #   8. obs        — exposition-server smoke under the tsan preset: start,
 #                   scrape /metrics, /healthz and /explain, and the
 #                   concurrent-scrape-while-ingesting hammering, plus the
@@ -103,14 +104,15 @@ run_preset() {
 }
 
 # Builds a sanitizer preset and runs only the engine unification tests
-# (driver equivalence + allocation gauge) under it.
+# (driver equivalence, allocation gauge, round cadence) under it.
 run_engine_under() {
   local preset="$1"
   echo
   echo "==== [engine/$preset] equivalence + alloc gauge ===="
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$JOBS"
-  ctest --preset "$preset" -R 'EngineEquivalenceTest|EngineAllocTest' \
+  ctest --preset "$preset" \
+    -R 'EngineEquivalenceTest|EngineAllocTest|EngineAllocSweepTest|SampleWindowTest' \
     --output-on-failure
 }
 
