@@ -28,39 +28,63 @@
 namespace cad {
 namespace {
 
-ts::MultivariateSeries MakeSeries(int n_sensors, int length) {
+ts::MultivariateSeries MakeSeries(int n_sensors, int length,
+                                  int n_communities = 0) {
   Rng rng(42);
   datasets::GeneratorOptions options;
   options.n_sensors = n_sensors;
-  options.n_communities = std::max(2, n_sensors / 12);
+  options.n_communities =
+      n_communities > 0 ? n_communities : std::max(2, n_sensors / 12);
   datasets::SensorNetworkGenerator generator(options, &rng);
   return generator.Generate(length, &rng);
 }
 
 constexpr int kWindow = 64;
 
+// The perfbench workload shapes: sensors, window, k, communities — IS-5
+// (is5_stream), IS-3 (is3_batch) and one fleet_iot tenant.
+void WorkloadShapes(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames({"sensors", "w", "k", "communities"});
+  bench->Args({1266, 73, 50, 20});
+  bench->Args({406, 86, 30, 12});
+  bench->Args({8, 32, 3, 2});
+}
+
+// Both kernels run through their Into forms with scratch reused across
+// iterations, as in the engine's steady-state rounds.
 void BM_WindowCorrelationMatrix(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const ts::MultivariateSeries series = MakeSeries(n, kWindow * 2);
+  const int w = static_cast<int>(state.range(1));
+  const ts::MultivariateSeries series =
+      MakeSeries(n, w * 2, static_cast<int>(state.range(3)));
+  stats::CorrelationScratch scratch;
+  stats::CorrelationMatrix corr;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::WindowCorrelationMatrix(series, 0, kWindow));
+    stats::WindowCorrelationMatrixInto(series, 0, w,
+                                       stats::CorrelationKind::kPearson, 1,
+                                       &scratch, &corr);
+    benchmark::DoNotOptimize(corr);
   }
-  state.SetComplexityN(n);
 }
-BENCHMARK(BM_WindowCorrelationMatrix)->Arg(26)->Arg(128)->Arg(512)->Complexity();
+BENCHMARK(BM_WindowCorrelationMatrix)->Apply(WorkloadShapes);
 
 void BM_BuildKnnGraph(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const ts::MultivariateSeries series = MakeSeries(n, kWindow * 2);
+  const int w = static_cast<int>(state.range(1));
+  const ts::MultivariateSeries series =
+      MakeSeries(n, w * 2, static_cast<int>(state.range(3)));
   const stats::CorrelationMatrix corr =
-      stats::WindowCorrelationMatrix(series, 0, kWindow);
-  const graph::KnnGraphOptions options{.k = 10, .tau = 0.5};
+      stats::WindowCorrelationMatrix(series, 0, w);
+  const graph::KnnGraphOptions options{
+      .k = static_cast<int>(state.range(2)), .tau = 0.5};
+  graph::KnnScratch scratch;
+  graph::Graph tsg;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::BuildKnnGraph(corr, options));
+    graph::BuildKnnGraphInto(corr, options, &scratch, &tsg);
+    benchmark::DoNotOptimize(tsg);
   }
-  state.SetComplexityN(n);
 }
-BENCHMARK(BM_BuildKnnGraph)->Arg(26)->Arg(128)->Arg(512)->Complexity();
+BENCHMARK(BM_BuildKnnGraph)->Apply(WorkloadShapes);
 
 void BM_Louvain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -126,16 +150,25 @@ BENCHMARK(BM_OutlierDetectionRoundIncremental)
     ->Arg(512)
     ->Complexity();
 
+// The n_threads knob: where splitting the kernel's row blocks over threads
+// (spawned and joined every call) starts to pay.
 void BM_WindowCorrelationMatrixThreaded(benchmark::State& state) {
-  const int n = 512;
-  const int threads = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(0));
+  const int threads = static_cast<int>(state.range(1));
   const ts::MultivariateSeries series = MakeSeries(n, kWindow * 2);
+  stats::CorrelationScratch scratch;
+  stats::CorrelationMatrix corr;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::WindowCorrelationMatrix(
-        series, 0, kWindow, stats::CorrelationKind::kPearson, threads));
+    stats::WindowCorrelationMatrixInto(series, 0, kWindow,
+                                       stats::CorrelationKind::kPearson,
+                                       threads, &scratch, &corr);
+    benchmark::DoNotOptimize(corr);
   }
 }
-BENCHMARK(BM_WindowCorrelationMatrixThreaded)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_WindowCorrelationMatrixThreaded)
+    ->ArgNames({"sensors", "threads"})
+    ->ArgsProduct({{64, 128, 256, 512, 1266}, {1, 2, 4}})
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace cad

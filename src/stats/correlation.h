@@ -5,17 +5,45 @@
 // robustness extension — invariant to monotone distortions and insensitive
 // to heavy-tailed spikes, at an O(w log w) per-sensor ranking cost.
 //
-// The matrix form precomputes each sensor's centered, unit-norm residuals so
-// an n x n matrix over a window of width w costs O(n*w + n^2*w) flops with a
-// cache-friendly inner product; rows can be computed on multiple threads
-// (bitwise-identical results regardless of thread count). Degenerate
-// (constant) sensors are mapped to correlation 0 instead of NaN.
+// Layout. A CorrelationMatrix stores only the n(n-1)/2 cells above the
+// diagonal, row by row (row i holds (i, i+1) ... (i, n-1)); at(i, j) reads
+// either half and the diagonal reads 1. Every producer (the direct kernel
+// below, RollingCorrelationTracker) writes each row once through upper_row,
+// and the kNN builder reads the rows back in the same order.
+//
+// Kernel. The matrix form precomputes each sensor's centered, unit-norm
+// residuals (ranked first for Spearman), stored time-major: w rows of n
+// values, the row stride padded to a whole tile. The triangle is then
+// computed in 2 x 8 register tiles — two rows i, i+1 against eight columns
+// j..j+7 — whose sixteen independent sums the compiler keeps in vector
+// registers. O(n*w + n^2*w) flops. Below 24 sensors, where most of a tile
+// would fall on or below the diagonal, the residuals stay sensor-major and
+// each cell is one dot product (the fleet's 8-sensor tenants take this path;
+// IS-3 and IS-5 the tiles).
+//
+// Bitwise identity. Each cell still starts at 0.0, adds x_i[t] * x_j[t] for
+// t = 0 ... w-1 in order and is clamped to [-1, 1]: the same operation
+// sequence as a per-cell dot product, only sixteen cells at a time. So both
+// kernels give the same bits, for any thread count (rows are split over
+// threads by 2-row block). The reference test in
+// tests/stats/correlation_test.cc compares every cell with memcmp, on both
+// sides of the 24-sensor switch, under the build's own flags: that is what
+// guards against a compiler that would reassociate or contract the sum.
+//
+// Degenerate windows correlate 0 with every sensor (and 1 with themselves)
+// instead of NaN: a constant window, a Pearson window whose mean or squared
+// norm is not finite (a NaN or ±Inf reading, or a sum that overflows), and a
+// Spearman window holding a NaN — the one value the rank sort cannot order.
+// ±Inf readings still rank as the extremes under Spearman.
 #ifndef CAD_STATS_CORRELATION_H_
 #define CAD_STATS_CORRELATION_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <span>
 #include <vector>
 
+#include "check/check.h"
 #include "common/realtime.h"
 #include "ts/multivariate_series.h"
 
@@ -33,28 +61,54 @@ double PearsonCorrelation(std::span<const double> x, std::span<const double> y);
 double SpearmanCorrelation(std::span<const double> x,
                            std::span<const double> y);
 
-// Dense symmetric correlation matrix with unit diagonal, stored row-major.
+// Symmetric correlation matrix with unit diagonal. Only the n(n-1)/2 cells
+// above the diagonal are stored, row by row (see the file comment).
 class CorrelationMatrix {
  public:
   CorrelationMatrix() = default;
   explicit CorrelationMatrix(int n) { Reset(n); }
 
-  // Re-shapes to n x n identity. Capacity is retained, so a matrix reused
+  // Re-shapes to the n x n identity. Capacity is retained, so a matrix reused
   // across rounds of the same width never reallocates.
   void Reset(int n) {
+    Resize(n);
+    std::fill(values_.begin(), values_.end(), 0.0);
+  }
+
+  // Re-shapes to n x n and leaves the cells as they are: for writers that
+  // fill every cell of every upper_row.
+  void Resize(int n) {
     n_ = n;
-    values_.assign(static_cast<size_t>(n) * n, 0.0);
-    for (int i = 0; i < n; ++i) set(i, i, 1.0);
+    values_.resize(RowOffset(n));
   }
 
   int size() const { return n_; }
-  double at(int i, int j) const { return values_[static_cast<size_t>(i) * n_ + j]; }
+  double at(int i, int j) const { return i == j ? 1.0 : values_[Index(i, j)]; }
+  // Sets cells (i, j) and (j, i); i != j.
   void set(int i, int j, double v) {
-    values_[static_cast<size_t>(i) * n_ + j] = v;
-    values_[static_cast<size_t>(j) * n_ + i] = v;
+    CAD_DCHECK(i != j, "the diagonal of a correlation matrix is fixed at 1");
+    values_[Index(i, j)] = v;
+  }
+
+  // Cells (i, i+1) ... (i, n-1): element m is cell (i, i+1+m).
+  std::span<double> upper_row(int i) {
+    return {values_.data() + RowOffset(i), static_cast<size_t>(n_ - 1 - i)};
+  }
+  std::span<const double> upper_row(int i) const {
+    return {values_.data() + RowOffset(i), static_cast<size_t>(n_ - 1 - i)};
   }
 
  private:
+  // Cells stored before row i: (n-1) + (n-2) + ... + (n-i); for i = n, the
+  // whole triangle.
+  size_t RowOffset(int i) const {
+    return static_cast<size_t>(i) * static_cast<size_t>(2 * n_ - i - 1) / 2;
+  }
+  size_t Index(int i, int j) const {
+    return i < j ? RowOffset(i) + static_cast<size_t>(j - i - 1)
+                 : RowOffset(j) + static_cast<size_t>(i - j - 1);
+  }
+
   int n_ = 0;
   std::vector<double> values_;
 };
@@ -63,15 +117,18 @@ class CorrelationMatrix {
 // problem size on first use and are reused verbatim afterwards, so the
 // steady-state recomputation touches no heap.
 struct CorrelationScratch {
-  std::vector<double> residuals;   // n x w, row-major
-  std::vector<uint8_t> degenerate;  // per sensor
-  std::vector<double> ranked;       // Spearman only: one sensor's ranks
-  std::vector<int> rank_order;      // Spearman only: argsort scratch
+  std::vector<double> residuals;  // w x stride time-major for the tiles,
+                                  // n x w sensor-major below 24 sensors; 0
+                                  // for degenerate sensors and the padding
+  std::vector<double> centered;   // one sensor's window minus its mean
+  std::vector<double> ranked;     // Spearman only: one sensor's ranks
+  std::vector<int> rank_order;    // Spearman only: argsort scratch
 };
 
 // Correlation matrix of all sensor pairs within window [start, start + w) of
-// `series`. Constant sensors correlate 0 with everything (and 1 with self).
-// `n_threads` > 1 parallelizes the pairwise products (results identical).
+// `series`. Degenerate sensors (see the file comment) correlate 0 with
+// everything. `n_threads` > 1 splits the rows over threads (results
+// identical).
 CorrelationMatrix WindowCorrelationMatrix(
     const ts::MultivariateSeries& series, int start, int w,
     CorrelationKind kind = CorrelationKind::kPearson, int n_threads = 1);

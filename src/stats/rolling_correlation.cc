@@ -18,7 +18,7 @@ RollingCorrelationTracker::RollingCorrelationTracker(int n_sensors, int window,
       refresh_interval_(refresh_interval),
       sum_(n_sensors, 0.0),
       sum_sq_(n_sensors, 0.0),
-      cross_(static_cast<size_t>(n_sensors) * n_sensors, 0.0),
+      cross_(static_cast<size_t>(n_sensors) * (n_sensors - 1) / 2, 0.0),
       column_scratch_(n_sensors, 0.0),
       centered_norm_(n_sensors, 0.0) {
   CAD_CHECK(n_sensors > 0 && window > 0, "bad tracker shape");
@@ -26,14 +26,15 @@ RollingCorrelationTracker::RollingCorrelationTracker(int n_sensors, int window,
 
 void RollingCorrelationTracker::Accumulate(const double* values, double sign)
     CAD_REALTIME_AUDITED {
+  double* row = cross_.data();  // packed row i: cells (i, i+1) ... (i, n-1)
   for (int i = 0; i < n_sensors_; ++i) {
     const double xi = values[i];
     sum_[i] += sign * xi;
     sum_sq_[i] += sign * xi * xi;
-    double* row = cross_.data() + static_cast<size_t>(i) * n_sensors_;
-    for (int j = i + 1; j < n_sensors_; ++j) {
-      row[j] += sign * xi * values[j];
-    }
+    const double* right = values + i + 1;
+    const int len = n_sensors_ - 1 - i;
+    for (int m = 0; m < len; ++m) row[m] += sign * xi * right[m];
+    row += len;
   }
 }
 
@@ -77,25 +78,30 @@ void RollingCorrelationTracker::Remove(std::span<const double> sample)
 void RollingCorrelationTracker::CorrelationsInto(CorrelationMatrix* out) const
     CAD_REALTIME_AUDITED {
   CAD_CHECK(held_ == window_, "tracker window not full");
-  out->Reset(n_sensors_);
-  CorrelationMatrix& corr = *out;
+  out->Resize(n_sensors_);
   const double w = static_cast<double>(window_);
   // Per-sensor centered norms: sum((x - mean)^2) = sum_sq - sum^2 / w.
   std::vector<double>& centered_norm = centered_norm_;
   for (int i = 0; i < n_sensors_; ++i) {
     centered_norm[i] = sum_sq_[i] - sum_[i] * sum_[i] / w;
   }
+  const double* cross_row = cross_.data();
   for (int i = 0; i < n_sensors_; ++i) {
-    if (centered_norm[i] < kEpsilon) continue;  // constant sensor -> 0
-    const double* row = cross_.data() + static_cast<size_t>(i) * n_sensors_;
-    for (int j = i + 1; j < n_sensors_; ++j) {
-      if (centered_norm[j] < kEpsilon) continue;
-      const double cov = row[j] - sum_[i] * sum_[j] / w;
+    const std::span<double> row = out->upper_row(i);  // cells (i, i+1+m)
+    const bool constant_i = centered_norm[i] < kEpsilon;
+    for (size_t m = 0; m < row.size(); ++m) {
+      const int j = i + 1 + static_cast<int>(m);
+      if (constant_i || centered_norm[j] < kEpsilon) {  // constant sensor -> 0
+        row[m] = 0.0;
+        continue;
+      }
+      const double cov = cross_row[m] - sum_[i] * sum_[j] / w;
       double r = cov / std::sqrt(centered_norm[i] * centered_norm[j]);
       if (r > 1.0) r = 1.0;
       if (r < -1.0) r = -1.0;
-      corr.set(i, j, r);
+      row[m] = r;
     }
+    cross_row += row.size();
   }
 }
 

@@ -7,6 +7,10 @@
 // entering or leaving the window: O(n^2 s) per round, a w/s-fold saving for
 // the paper-recommended s ≈ 0.02 w.
 //
+// The cross products live in CorrelationMatrix's packed layout — the
+// n(n-1)/2 pairs i < j, row by row — and CorrelationsInto writes each output
+// row once through upper_row, degenerate cells included (as an explicit 0).
+//
 // Floating-point drift from repeated add/subtract accumulates slowly; once
 // `refresh_interval` samples have left the window, refresh_due() asks the
 // owner to recompute from scratch with Reset, bounding the drift to ~1e-12
@@ -68,7 +72,9 @@ class RollingCorrelationTracker {
 
   std::vector<double> sum_;      // per sensor
   std::vector<double> sum_sq_;   // per sensor
-  std::vector<double> cross_;    // n x n upper triangle, row-major full
+  // Pairwise cross products sum(x_i * x_j) for i < j, in CorrelationMatrix's
+  // packed layout: n(n-1)/2 doubles, row i holding j = i+1 ... n-1.
+  std::vector<double> cross_;
   // Reused per-call buffers (sized at construction; mutable because
   // CorrelationsInto is logically const).
   std::vector<double> column_scratch_;        // one column's readings

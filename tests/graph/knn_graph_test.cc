@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace cad::graph {
 namespace {
@@ -97,6 +104,139 @@ TEST(KnnGraphTest, EdgeCountBounded) {
     EXPECT_LE(g.n_edges(), static_cast<int64_t>(n) * k);
   }
 }
+
+
+// ---- The one-pass builder against the per-row sort, bit for bit ----------
+
+// The builder the one-pass one replaced, kept verbatim as the reference:
+// per vertex, the candidates above tau partially sorted by |corr| (index as
+// tie-break), the top k marked in an n x n pick array, then the symmetric
+// union added in (u, v) order.
+Graph PartialSortReference(const stats::CorrelationMatrix& corr,
+                           const KnnGraphOptions& options,
+                           KnnGraphStats* stats) {
+  const int n = corr.size();
+  Graph graph(n);
+  std::vector<uint8_t> selected(static_cast<size_t>(n) * n, 0);
+  std::vector<int> order;
+  int directed_candidates = 0;
+  for (int u = 0; u < n; ++u) {
+    order.clear();
+    for (int v = 0; v < n; ++v) {
+      if (v == u) continue;
+      if (std::abs(corr.at(u, v)) >= options.tau) order.push_back(v);
+    }
+    directed_candidates += static_cast<int>(order.size());
+    const int take = std::min<int>(options.k, static_cast<int>(order.size()));
+    std::partial_sort(order.begin(), order.begin() + take, order.end(),
+                      [&](int a, int b) {
+                        const double wa = std::abs(corr.at(u, a));
+                        const double wb = std::abs(corr.at(u, b));
+                        if (wa != wb) return wa > wb;
+                        return a < b;
+                      });
+    for (int idx = 0; idx < take; ++idx) {
+      selected[static_cast<size_t>(u) * n + order[idx]] = 1;
+    }
+  }
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      if (selected[static_cast<size_t>(u) * n + v] ||
+          selected[static_cast<size_t>(v) * n + u]) {
+        graph.AddEdge(u, v, corr.at(u, v));
+      }
+    }
+  }
+  stats->candidate_pairs = directed_candidates / 2;
+  stats->kept_edges = static_cast<int>(graph.n_edges());
+  return graph;
+}
+
+// A correlation matrix of n sensors. Cells are quantized to 0.05 steps with
+// mixed signs, so many |corr| ties (across signs too) exercise the index
+// tie-break; every seventh sensor is uncorrelated (row of zeros).
+stats::CorrelationMatrix TiedMatrix(int n) {
+  cad::Rng rng(static_cast<uint64_t>(77 + n));
+  stats::CorrelationMatrix corr(n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (i % 7 == 6 || j % 7 == 6) continue;
+      const double same_group = (i % 3 == j % 3) ? 0.4 : 0.0;
+      double v = std::round((same_group + rng.Uniform(0.0, 0.6)) * 20.0) / 20.0;
+      if (rng.Uniform(0.0, 1.0) < 0.3) v = -v;
+      corr.set(i, j, v);
+    }
+  }
+  return corr;
+}
+
+// A window correlation matrix of a noisy two-factor series: the continuous
+// values a round produces.
+stats::CorrelationMatrix WindowMatrix(int n) {
+  cad::Rng rng(static_cast<uint64_t>(5 + n));
+  const int len = 40;
+  ts::MultivariateSeries series(n, len);
+  for (int t = 0; t < len; ++t) {
+    const double f = rng.Gaussian();
+    const double g = rng.Gaussian();
+    for (int i = 0; i < n; ++i) {
+      series.set_value(i, t, (i % 2 == 0 ? f : -g) + rng.Gaussian(0.0, 0.7));
+    }
+  }
+  return stats::WindowCorrelationMatrix(series, 0, len);
+}
+
+void ExpectSameGraph(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.n_vertices(), want.n_vertices());
+  EXPECT_EQ(got.n_edges(), want.n_edges());
+  for (int u = 0; u < want.n_vertices(); ++u) {
+    const auto& a = got.neighbors(u);
+    const auto& b = want.neighbors(u);
+    ASSERT_EQ(a.size(), b.size()) << "vertex " << u;
+    for (size_t idx = 0; idx < b.size(); ++idx) {
+      EXPECT_EQ(a[idx].vertex, b[idx].vertex)
+          << "vertex " << u << " slot " << idx;
+      EXPECT_EQ(std::memcmp(&a[idx].weight, &b[idx].weight, sizeof(double)), 0)
+          << "vertex " << u << " slot " << idx;
+    }
+  }
+}
+
+class KnnReferenceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KnnReferenceTest, BitIdenticalToPartialSortUnion) {
+  const int n = GetParam();
+  KnnScratch scratch;  // reused across every case, as in the engine
+  Graph graph;
+  for (const bool tied : {true, false}) {
+    const stats::CorrelationMatrix corr =
+        tied ? TiedMatrix(n) : WindowMatrix(n);
+    for (const double tau : {0.0, 0.55}) {
+      for (const int k : {1, 3, std::max(1, n - 1), n + 5}) {
+        const KnnGraphOptions options{.k = k, .tau = tau};
+        SCOPED_TRACE(::testing::Message() << (tied ? "tied" : "window")
+                                          << " tau=" << tau << " k=" << k);
+        KnnGraphStats want_stats;
+        const Graph want = PartialSortReference(corr, options, &want_stats);
+        KnnGraphStats got_stats;
+        BuildKnnGraphInto(corr, options, &scratch, &graph, &got_stats);
+        ExpectSameGraph(graph, want);
+        EXPECT_EQ(got_stats.candidate_pairs, want_stats.candidate_pairs);
+        EXPECT_EQ(got_stats.kept_edges, want_stats.kept_edges);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, KnnReferenceTest,
+                         ::testing::Values(1, 2, 7, 8, 9, 17, 64, 65, 129, 406),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           // Appended, not operator+: GCC 12's -Wrestrict
+                           // false positive (PR105651) under -Werror.
+                           std::string name = "n";
+                           name += std::to_string(info.param);
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace cad::graph

@@ -19,10 +19,12 @@
 #                   CAPABILITY/GUARDED_BY annotations; SKIPs when clang++ is
 #                   not installed (GCC compiles the annotations to no-ops).
 #   7. engine     — focused re-run of the batch/stream/fleet equivalence,
-#                   allocation-gauge and SampleWindow cadence tests under the
-#                   asan-ubsan and tsan presets: byte-identical drivers must
-#                   stay identical when the sanitizers perturb layout and
-#                   scheduling.
+#                   allocation-gauge and SampleWindow cadence tests, plus the
+#                   bit-for-bit reference tests of the correlation and kNN
+#                   kernels (their n_threads = 3 cases are the TSan
+#                   coverage), under the asan-ubsan and tsan presets:
+#                   byte-identical drivers must stay identical when the
+#                   sanitizers perturb layout and scheduling.
 #   8. obs        — exposition-server smoke under the tsan preset: start,
 #                   scrape /metrics, /healthz and /explain, and the
 #                   concurrent-scrape-while-ingesting hammering, plus the
@@ -104,7 +106,8 @@ run_preset() {
 }
 
 # Builds a sanitizer preset and runs only the engine unification tests
-# (driver equivalence, allocation gauge, round cadence) under it.
+# (driver equivalence, allocation gauge, round cadence, kernel references)
+# under it.
 run_engine_under() {
   local preset="$1"
   echo
@@ -112,7 +115,7 @@ run_engine_under() {
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$JOBS"
   ctest --preset "$preset" \
-    -R 'EngineEquivalenceTest|EngineAllocTest|EngineAllocSweepTest|SampleWindowTest' \
+    -R 'EngineEquivalenceTest|EngineAllocTest|EngineAllocSweepTest|SampleWindowTest|CorrelationKernelReferenceTest|CorrelationMatrixLayoutTest|CorrelationMatrixTest|KnnReferenceTest' \
     --output-on-failure
 }
 
