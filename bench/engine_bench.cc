@@ -17,6 +17,10 @@
 // (flight_recorder.overhead_pct; contract: < 5% rounds/sec and zero
 // steady-state allocs/round with the recorder on).
 //
+// The JSON also records the build it measured (compiler, build type, flags)
+// and the correlation tile kernel this host runs: the round's cost depends on
+// all four.
+//
 // Flags:
 //   --smoke             small configuration for ctest (a few seconds)
 //   --out PATH          output path (default BENCH_engine.json)
@@ -43,6 +47,7 @@
 #include "core/streaming.h"
 #include "datasets/generator.h"
 #include "obs/metrics.h"
+#include "stats/correlation_kernels.h"
 #include "ts/multivariate_series.h"
 
 namespace cad::bench {
@@ -420,6 +425,12 @@ int Main(int argc, char** argv) {
                "{\n"
                "  \"bench\": \"engine\",\n"
                "  \"smoke\": %s,\n"
+               "  \"build\": {\n"
+               "    \"compiler\": \"%s\",\n"
+               "    \"build_type\": \"%s\",\n"
+               "    \"cxx_flags\": \"%s\",\n"
+               "    \"correlation_tile_kernel\": \"%s\"\n"
+               "  },\n"
                "  \"config\": {\n"
                "    \"n_sensors\": %d,\n"
                "    \"n_communities\": %d,\n"
@@ -429,7 +440,10 @@ int Main(int argc, char** argv) {
                "    \"step\": %d,\n"
                "    \"k\": %d\n"
                "  },\n",
-               smoke ? "true" : "false", config.n_sensors, config.n_communities,
+               smoke ? "true" : "false", CAD_BENCH_COMPILER,
+               CAD_BENCH_BUILD_TYPE, CAD_BENCH_CXX_FLAGS,
+               stats::internal::ActiveTileKernel().name, config.n_sensors,
+               config.n_communities,
                config.train_length, config.test_length(), config.window,
                config.step, config.k);
   PrintDriverJson(out, "batch", batch, /*trailing_comma=*/true);

@@ -24,6 +24,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/correlation.h"
+#include "stats/correlation_kernels.h"
 
 namespace cad {
 namespace {
@@ -51,8 +52,12 @@ void WorkloadShapes(benchmark::internal::Benchmark* bench) {
 }
 
 // Both kernels run through their Into forms with scratch reused across
-// iterations, as in the engine's steady-state rounds.
-void BM_WindowCorrelationMatrix(benchmark::State& state) {
+// iterations, as in the engine's steady-state rounds. The matrix gets one row
+// per tile kernel this CPU runs (registered in main, widest first; the first
+// is the one production picks). At 8 sensors every kernel takes the per-cell
+// path, so those rows should agree.
+void BM_WindowCorrelationMatrix(benchmark::State& state,
+                                const stats::internal::TileKernel* kernel) {
   const int n = static_cast<int>(state.range(0));
   const int w = static_cast<int>(state.range(1));
   const ts::MultivariateSeries series =
@@ -60,13 +65,23 @@ void BM_WindowCorrelationMatrix(benchmark::State& state) {
   stats::CorrelationScratch scratch;
   stats::CorrelationMatrix corr;
   for (auto _ : state) {
-    stats::WindowCorrelationMatrixInto(series, 0, w,
-                                       stats::CorrelationKind::kPearson, 1,
-                                       &scratch, &corr);
+    stats::internal::WindowCorrelationMatrixWithKernel(
+        series, 0, w, stats::CorrelationKind::kPearson, 1, *kernel, &scratch,
+        &corr);
     benchmark::DoNotOptimize(corr);
   }
 }
-BENCHMARK(BM_WindowCorrelationMatrix)->Apply(WorkloadShapes);
+
+void RegisterCorrelationKernelRows() {
+  for (const stats::internal::TileKernel& kernel :
+       stats::internal::SupportedTileKernels()) {
+    std::string name = "BM_WindowCorrelationMatrix/";
+    name += kernel.name;
+    benchmark::RegisterBenchmark(name.c_str(), BM_WindowCorrelationMatrix,
+                                 &kernel)
+        ->Apply(WorkloadShapes);
+  }
+}
 
 void BM_BuildKnnGraph(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -99,6 +114,26 @@ void BM_Louvain(benchmark::State& state) {
   state.SetComplexityN(n);
 }
 BENCHMARK(BM_Louvain)->Arg(26)->Arg(128)->Arg(512)->Complexity();
+
+// Louvain on the TSG of each workload shape, through its Into form with the
+// workspace reused, as in the engine's rounds.
+void BM_LouvainWorkload(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int w = static_cast<int>(state.range(1));
+  const int k = static_cast<int>(state.range(2));
+  const ts::MultivariateSeries series =
+      MakeSeries(n, w * 2, static_cast<int>(state.range(3)));
+  const stats::CorrelationMatrix corr =
+      stats::WindowCorrelationMatrix(series, 0, w);
+  const graph::Graph tsg = graph::BuildKnnGraph(corr, {.k = k, .tau = 0.5});
+  graph::LouvainWorkspace workspace;
+  graph::Partition partition;
+  for (auto _ : state) {
+    graph::LouvainInto(tsg, {}, &workspace, &partition);
+    benchmark::DoNotOptimize(partition);
+  }
+}
+BENCHMARK(BM_LouvainWorkload)->Apply(WorkloadShapes);
 
 void BM_OutlierDetectionRound(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -191,6 +226,8 @@ int main(int argc, char** argv) {
   }
   int kept_argc = static_cast<int>(kept.size());
   if (!telemetry_out.empty()) cad::obs::Tracer::Global().Enable();
+
+  cad::RegisterCorrelationKernelRows();
 
   benchmark::Initialize(&kept_argc, kept.data());
   if (benchmark::ReportUnrecognizedArguments(kept_argc, kept.data())) return 1;

@@ -79,6 +79,9 @@ class Graph {
 
   // All edges with u < v, sorted lexicographically (useful for tests and for
   // deterministic serialization). The Into form reuses `edges`' capacity.
+  // Edges come out already sorted when each vertex's larger neighbours were
+  // added in ascending order, as the kNN builder and Louvain's aggregation
+  // add them; the sort runs only when they were not.
   void SortedEdgesInto(std::vector<Edge>* edges) const {
     edges->clear();
     // cad-lint: allow(CL007) reserve into retained capacity: the caller's workspace vector keeps its storage across rounds
@@ -88,9 +91,12 @@ class Graph {
         if (u < nb.vertex) edges->push_back({u, nb.vertex, nb.weight});
       }
     }
-    std::sort(edges->begin(), edges->end(), [](const Edge& a, const Edge& b) {
+    const auto before = [](const Edge& a, const Edge& b) {
       return a.u != b.u ? a.u < b.u : a.v < b.v;
-    });
+    };
+    if (!std::is_sorted(edges->begin(), edges->end(), before)) {
+      std::sort(edges->begin(), edges->end(), before);
+    }
   }
 
   std::vector<Edge> SortedEdges() const {

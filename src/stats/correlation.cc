@@ -1,8 +1,10 @@
 #include "stats/correlation.h"
 
 #include "check/check.h"
+#include "stats/correlation_kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <thread>
@@ -13,14 +15,14 @@ namespace {
 
 constexpr double kEpsilon = 1e-12;
 
-// The register tile of the triangle kernel: kTileRows rows against
-// kTileCols columns, 16 accumulators.
-constexpr int kTileRows = 2;
-constexpr int kTileCols = 8;
-// Below three tiles' width most of a tile's cells lie on or below the
-// diagonal, and one dot product per cell is faster (measured at 8 to 32
-// sensors); from 24 sensors up the tiles win.
-constexpr int kMinTiledSensors = 3 * kTileCols;
+using internal::kResidualAlign;
+using internal::kResidualSpareRows;
+// Below 24 sensors most of a tile's cells lie on or below the diagonal, and
+// one dot product per cell is about as fast or faster. Measured per kernel at
+// 8 to 48 sensors (w 32 and 86, -O3), the tiles overtake the per-cell loop at
+// 12-16 sensors (AVX-512) and 16-24 (baseline); from 24 up both kernels win,
+// so one switch serves both.
+constexpr int kMinTiledSensors = 24;
 
 double ClampUnit(double r) {
   if (r > 1.0) r = 1.0;
@@ -28,35 +30,71 @@ double ClampUnit(double r) {
   return r;
 }
 
-// Cells (i, j > i) and (i + 1, j > i + 1) of the triangle, i + 1 < n, from
-// the time-major residuals `res` (row stride `stride`, a multiple of
-// kTileCols). Tiles start at the multiple of kTileCols at or before i + 1;
-// the few cells on or below the diagonal they also compute are dropped.
-void TriangleRowPair(const double* res, int stride, int w, int n, int i,
-                     CorrelationMatrix* out) CAD_REALTIME_AUDITED {
-  const std::span<double> row0 = out->upper_row(i);      // column i + 1 + m
-  const std::span<double> row1 = out->upper_row(i + 1);  // column i + 2 + m
-  for (int j0 = (i + 1) / kTileCols * kTileCols; j0 < n; j0 += kTileCols) {
-    double acc0[kTileCols] = {};
-    double acc1[kTileCols] = {};
+// Cells of rows i ... i + R - 1 (the ones below n - 1) from the time-major
+// residuals `res`, row stride `stride`. Tiles of R rows x C columns start at
+// the multiple of C at or before i + 1; the cells on or below the diagonal
+// they also compute are dropped. Every cell starts at 0.0 and adds
+// x_i[t] * x_j[t] for t = 0 ... w-1 in order: the per-cell loop's sequence.
+// Always inlined, so each wrapper below compiles it for its own target.
+template <int R, int C>
+[[gnu::always_inline]] inline void TriangleTiles(
+    const double* res, int stride, int w, int n, int i,
+    CorrelationMatrix* out) CAD_REALTIME_AUDITED {
+  static_assert(kResidualAlign % C == 0 && kResidualAlign % R == 0);
+  const int rows = std::min(R, n - 1 - i);
+  for (int j0 = (i + 1) / C * C; j0 < n; j0 += C) {
+    double acc[R][C] = {};
     for (int t = 0; t < w; ++t) {
       const double* rt = res + static_cast<size_t>(t) * stride;
-      const double x0 = rt[i];
-      const double x1 = rt[i + 1];
       const double* xj = rt + j0;
-      for (int c = 0; c < kTileCols; ++c) {
-        acc0[c] += x0 * xj[c];
-        acc1[c] += x1 * xj[c];
+      for (int c = 0; c < C; ++c) {
+        for (int r = 0; r < R; ++r) acc[r][c] += rt[i + r] * xj[c];
       }
     }
-    const int end = std::min(kTileCols, n - j0);
-    for (int c = std::max(0, i + 1 - j0); c < end; ++c) {
-      row0[static_cast<size_t>(j0 + c - i - 1)] = ClampUnit(acc0[c]);
-    }
-    for (int c = std::max(0, i + 2 - j0); c < end; ++c) {
-      row1[static_cast<size_t>(j0 + c - i - 2)] = ClampUnit(acc1[c]);
+    const int end = std::min(C, n - j0);
+    for (int r = 0; r < rows; ++r) {
+      const std::span<double> row = out->upper_row(i + r);  // col i+r+1+m
+      for (int c = std::max(0, i + r + 1 - j0); c < end; ++c) {
+        row[static_cast<size_t>(j0 + c - i - r - 1)] = ClampUnit(acc[r][c]);
+      }
     }
   }
+}
+
+// The two instantiations. Tile shapes are measured, not derived (IS-5 shape,
+// -O3): GCC 12 keeps these in registers, while under AVX-512, 4 x 16 is on
+// par with 4 x 32 and 2 x 32 about 2x slower.
+void TilesBaseline(const double* res, int stride, int w, int n, int i,
+                   CorrelationMatrix* out) CAD_REALTIME_AUDITED {
+  TriangleTiles<2, 8>(res, stride, w, n, i, out);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx512f")]] void TilesAvx512(const double* res, int stride,
+                                            int w, int n, int i,
+                                            CorrelationMatrix* out)
+    CAD_REALTIME_AUDITED {
+  TriangleTiles<4, 32>(res, stride, w, n, i, out);
+}
+#endif
+
+// Widest first; the baseline, last, runs on every host, so the supported
+// kernels are a suffix of the table.
+constexpr std::array kTileKernels = {
+#if defined(__x86_64__)
+    internal::TileKernel{"avx512f-4x32", 4, TilesAvx512},
+#endif
+    internal::TileKernel{"baseline-2x8", 2, TilesBaseline},
+};
+
+// Index of the widest kernel this CPU and OS run.
+size_t FirstSupportedKernel() CAD_REALTIME_AUDITED {
+#if defined(__x86_64__)
+  __builtin_cpu_init();  // idempotent; covers callers in static initializers
+  return __builtin_cpu_supports("avx512f") ? 0 : 1;
+#else
+  return 0;
+#endif
 }
 
 // Row i's cells one dot product at a time over the sensor-major residuals
@@ -75,6 +113,19 @@ void TriangleRow(const double* res, int w, int n, int i,
 }
 
 }  // namespace
+
+namespace internal {
+
+std::span<const TileKernel> SupportedTileKernels() CAD_REALTIME_AUDITED {
+  return std::span<const TileKernel>(kTileKernels).subspan(
+      FirstSupportedKernel());
+}
+
+const TileKernel& ActiveTileKernel() CAD_REALTIME_AUDITED {
+  return SupportedTileKernels().front();
+}
+
+}  // namespace internal
 
 double PearsonCorrelation(std::span<const double> x, std::span<const double> y) {
   CAD_CHECK(x.size() == y.size(), "correlation of unequal-length series");
@@ -138,6 +189,16 @@ void WindowCorrelationMatrixInto(const ts::MultivariateSeries& series,
                                  int start, int w, CorrelationKind kind,
                                  int n_threads, CorrelationScratch* scratch,
                                  CorrelationMatrix* out) CAD_REALTIME_AUDITED {
+  internal::WindowCorrelationMatrixWithKernel(series, start, w, kind,
+                                              n_threads,
+                                              internal::ActiveTileKernel(),
+                                              scratch, out);
+}
+
+void internal::WindowCorrelationMatrixWithKernel(
+    const ts::MultivariateSeries& series, int start, int w,
+    CorrelationKind kind, int n_threads, const TileKernel& kernel,
+    CorrelationScratch* scratch, CorrelationMatrix* out) CAD_REALTIME_AUDITED {
   const int n = series.n_sensors();
   CAD_CHECK(start >= 0 && start + w <= series.length(), "window out of range");
   out->Resize(n);
@@ -145,15 +206,20 @@ void WindowCorrelationMatrixInto(const ts::MultivariateSeries& series,
   // Center and unit-normalize each sensor's window (rank-transformed first
   // for Spearman); the correlation of two sensors is then a dot product.
   // The tiles read the residuals time-major: row t holds every sensor's
-  // value at t, padded with zero columns to a whole tile. The per-cell kernel
-  // reads them sensor-major. A degenerate sensor's residuals are all 0, so
-  // its every product, and so its every cell, is +0.0.
+  // value at t, padded with zero columns to a multiple of kResidualAlign,
+  // and kResidualSpareRows zero rows follow the last one. The per-cell
+  // kernel reads them sensor-major. A degenerate sensor's residuals are all
+  // 0, so its every product, and so its every cell, is +0.0.
   const bool tiled = n >= kMinTiledSensors;
-  const int stride = tiled ? (n + kTileCols - 1) / kTileCols * kTileCols : n;
+  const int stride =
+      tiled ? (n + kResidualAlign - 1) / kResidualAlign * kResidualAlign : n;
   const size_t sensor_step = tiled ? 1 : static_cast<size_t>(w);
   const size_t time_step = tiled ? static_cast<size_t>(stride) : 1;
+  const size_t values = static_cast<size_t>(w) * stride;
   std::vector<double>& residuals = scratch->residuals;
-  residuals.resize(static_cast<size_t>(w) * stride);
+  residuals.resize(values + (tiled ? kResidualSpareRows * time_step : 0));
+  std::fill(residuals.begin() + static_cast<std::ptrdiff_t>(values),
+            residuals.end(), 0.0);
   std::vector<double>& centered = scratch->centered;
   centered.resize(static_cast<size_t>(w));
   for (int i = 0; i < stride; ++i) {
@@ -190,19 +256,20 @@ void WindowCorrelationMatrixInto(const ts::MultivariateSeries& series,
     }
   }
 
-  // Row blocks are split over threads with a balanced interleaving (block b
-  // costs about n - 2b tiles' worth of columns, so striding blocks across
+  // Row blocks (the kernel's block height; one row per block below
+  // kMinTiledSensors) are split over threads with a balanced interleaving
+  // (block b costs about n - b * height columns, so striding blocks across
   // threads evens the load). Each cell is written by exactly one thread and
   // the arithmetic per cell is fixed, so results are identical for any
   // thread count.
+  const int block_rows = tiled ? kernel.block_rows : 1;
   auto compute_blocks = [&](int first_block, int n_blocks_stride) {
-    for (int i = first_block * kTileRows; i + 1 < n;
-         i += n_blocks_stride * kTileRows) {
+    for (int i = first_block * block_rows; i + 1 < n;
+         i += n_blocks_stride * block_rows) {
       if (tiled) {
-        TriangleRowPair(residuals.data(), stride, w, n, i, out);
+        kernel.block(residuals.data(), stride, w, n, i, out);
       } else {
         TriangleRow(residuals.data(), w, n, i, out);
-        TriangleRow(residuals.data(), w, n, i + 1, out);
       }
     }
   };

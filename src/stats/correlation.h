@@ -13,22 +13,32 @@
 //
 // Kernel. The matrix form precomputes each sensor's centered, unit-norm
 // residuals (ranked first for Spearman), stored time-major: w rows of n
-// values, the row stride padded to a whole tile. The triangle is then
-// computed in 2 x 8 register tiles — two rows i, i+1 against eight columns
-// j..j+7 — whose sixteen independent sums the compiler keeps in vector
-// registers. O(n*w + n^2*w) flops. Below 24 sensors, where most of a tile
-// would fall on or below the diagonal, the residuals stay sensor-major and
-// each cell is one dot product (the fleet's 8-sensor tenants take this path;
-// IS-3 and IS-5 the tiles).
+// values, zero-padded to a multiple of 32 columns. The triangle is then
+// computed in register tiles of R rows against C columns, whose R x C
+// independent sums the compiler keeps in vector registers. O(n*w + n^2*w)
+// flops. One tile loop is compiled twice (correlation_kernels.h): for
+// baseline x86-64 at 2 x 8 (SSE2) and under [[gnu::target("avx512f")]] at
+// 4 x 32. Each call runs the AVX-512 one when the CPU and OS support it,
+// picked from libgcc's cached CPUID bits (__builtin_cpu_supports, which
+// reports AVX-512 only once the OS has enabled its register state), and the
+// baseline one otherwise; there is no option. Below 24 sensors, where most
+// of a tile would fall on or below the diagonal, the residuals stay
+// sensor-major and each cell is one dot product (the fleet's 8-sensor
+// tenants take this path; IS-3 and IS-5 the tiles).
 //
 // Bitwise identity. Each cell still starts at 0.0, adds x_i[t] * x_j[t] for
 // t = 0 ... w-1 in order and is clamped to [-1, 1]: the same operation
-// sequence as a per-cell dot product, only sixteen cells at a time. So both
-// kernels give the same bits, for any thread count (rows are split over
-// threads by 2-row block). The reference test in
-// tests/stats/correlation_test.cc compares every cell with memcmp, on both
-// sides of the 24-sensor switch, under the build's own flags: that is what
-// guards against a compiler that would reassociate or contract the sum.
+// sequence as a per-cell dot product, only R x C cells at a time. Vector
+// lanes are independent cells, so the vector width changes how many cells
+// advance together, never the sequence of any one. cad_stats compiles with
+// -ffp-contract=off, PUBLIC so that its consumers follow it too: an FMA
+// rounds x * y + acc once, and GCC would otherwise fuse the product into the
+// sum under the avx512f target (and everywhere under -march=native). So
+// every kernel gives the same bits, on every host and for any thread count
+// (rows are split over threads by block). The reference test in
+// tests/stats/correlation_test.cc compares every cell of every kernel the
+// host runs with memcmp, on both sides of the 24-sensor switch, and the
+// `native` stage of tools/verify_matrix.sh repeats it under -march=native.
 //
 // Degenerate windows correlate 0 with every sensor (and 1 with themselves)
 // instead of NaN: a constant window, a Pearson window whose mean or squared
@@ -117,9 +127,10 @@ class CorrelationMatrix {
 // problem size on first use and are reused verbatim afterwards, so the
 // steady-state recomputation touches no heap.
 struct CorrelationScratch {
-  std::vector<double> residuals;  // w x stride time-major for the tiles,
-                                  // n x w sensor-major below 24 sensors; 0
-                                  // for degenerate sensors and the padding
+  std::vector<double> residuals;  // (w + 3 spare rows) x stride time-major
+                                  // for the tiles, n x w sensor-major below
+                                  // 24 sensors; 0 for degenerate sensors
+                                  // and the padding
   std::vector<double> centered;   // one sensor's window minus its mean
   std::vector<double> ranked;     // Spearman only: one sensor's ranks
   std::vector<int> rank_order;    // Spearman only: argsort scratch

@@ -48,6 +48,23 @@ TEST(GraphTest, SortedEdgesCanonicalOrder) {
   EXPECT_EQ(edges[2].v, 3);
   // Negative weights keep their sign in the edge list.
   EXPECT_EQ(edges[0].weight, 2.0);
+
+  // A vertex whose larger neighbours were added out of order is sorted too.
+  Graph h(4);
+  h.AddEdge(0, 3, -1.0);
+  h.AddEdge(2, 1, 2.0);
+  h.AddEdge(0, 1, 3.0);
+  const std::vector<Edge> sorted = h.SortedEdges();
+  ASSERT_EQ(sorted.size(), 3u);
+  EXPECT_EQ(sorted[0].u, 0);
+  EXPECT_EQ(sorted[0].v, 1);
+  EXPECT_EQ(sorted[0].weight, 3.0);
+  EXPECT_EQ(sorted[1].u, 0);
+  EXPECT_EQ(sorted[1].v, 3);
+  EXPECT_EQ(sorted[1].weight, -1.0);
+  EXPECT_EQ(sorted[2].u, 1);
+  EXPECT_EQ(sorted[2].v, 2);
+  EXPECT_EQ(sorted[2].weight, 2.0);
 }
 
 TEST(GraphTest, NeighborsCarryWeights) {

@@ -1,7 +1,10 @@
 #include "stats/correlation.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <cstdint>
@@ -9,9 +12,11 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "stats/correlation_kernels.h"
 
 namespace cad::stats {
 namespace {
@@ -208,6 +213,9 @@ void ExpectBitIdentical(const CorrelationMatrix& corr,
   EXPECT_EQ(mismatches, 0);
 }
 
+// Every tile kernel this CPU runs (the production pick and each narrower
+// one) against the per-cell loop, under Pearson and Spearman, on one thread
+// and on three.
 class CorrelationKernelReferenceTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -221,34 +229,112 @@ TEST_P(CorrelationKernelReferenceTest, BitIdenticalToPerCellLoop) {
        {CorrelationKind::kPearson, CorrelationKind::kSpearman}) {
     const std::vector<double> reference =
         PerCellReference(series, start, w, kind);
-    for (int n_threads : {1, 3}) {
-      // Reused scratch and matrix, as in the engine's rounds.
-      WindowCorrelationMatrixInto(series, start, w, kind, n_threads, &scratch,
-                                  &corr);
-      ASSERT_EQ(corr.size(), n);
-      SCOPED_TRACE(::testing::Message()
-                   << (kind == CorrelationKind::kPearson ? "pearson"
-                                                         : "spearman")
-                   << " threads=" << n_threads);
-      ExpectBitIdentical(corr, reference);
+    for (const internal::TileKernel& kernel :
+         internal::SupportedTileKernels()) {
+      for (int n_threads : {1, 3}) {
+        // Reused scratch and matrix, as in the engine's rounds.
+        internal::WindowCorrelationMatrixWithKernel(
+            series, start, w, kind, n_threads, kernel, &scratch, &corr);
+        ASSERT_EQ(corr.size(), n);
+        SCOPED_TRACE(::testing::Message()
+                     << (kind == CorrelationKind::kPearson ? "pearson"
+                                                           : "spearman")
+                     << " kernel=" << kernel.name
+                     << " threads=" << n_threads);
+        ExpectBitIdentical(corr, reference);
+      }
     }
   }
 }
 
+std::string ShapeName(
+    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+  // Appended piecewise: operator+ on a temporary trips GCC 12's -Wrestrict
+  // false positive (PR105651) under -Werror.
+  std::string name = "n";
+  name += std::to_string(std::get<0>(info.param));
+  name += "_w";
+  name += std::to_string(std::get<1>(info.param));
+  return name;
+}
+
+// Both sides of the 24-sensor switch, and the edges of the 8- and 32-column
+// tiles and of the 4-row block (25 ... 130).
 INSTANTIATE_TEST_SUITE_P(
     Shapes, CorrelationKernelReferenceTest,
-    ::testing::Combine(
-        ::testing::Values(1, 2, 7, 8, 9, 17, 23, 24, 64, 129, 406),
-        ::testing::Values(2, 3, 31, 86)),
-    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-      // Appended piecewise: operator+ on a temporary trips GCC 12's
-      // -Wrestrict false positive (PR105651) under -Werror.
-      std::string name = "n";
-      name += std::to_string(std::get<0>(info.param));
-      name += "_w";
-      name += std::to_string(std::get<1>(info.param));
-      return name;
-    });
+    ::testing::Combine(::testing::Values(1, 2, 7, 8, 9, 17, 23, 24, 25, 31,
+                                         32, 33, 63, 64, 65, 129, 130, 406),
+                       ::testing::Values(2, 3, 31, 86)),
+    ShapeName);
+
+// The IS-5 plant (1,266 sensors, window 73).
+INSTANTIATE_TEST_SUITE_P(Is5Shape, CorrelationKernelReferenceTest,
+                         ::testing::Values(std::make_tuple(1266, 73)),
+                         ShapeName);
+
+// Every block of every kernel reads only the residuals and their spare rows:
+// they end right at an unreadable page, so a read past the spare rows or the
+// padded columns faults. (Without the spare rows, the baseline kernel of a
+// GCC 12 -march=native build reads past the last time step.)
+TEST(CorrelationKernelBoundsTest, BlocksReadNothingPastTheResiduals) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  for (const auto& [n, w] : {std::pair{25, 3}, std::pair{33, 86},
+                             std::pair{64, 31}, std::pair{130, 2},
+                             std::pair{406, 86}}) {
+    const int stride = (n + internal::kResidualAlign - 1) /
+                       internal::kResidualAlign * internal::kResidualAlign;
+    const size_t values = static_cast<size_t>(w) * stride;
+    const size_t bytes =
+        (values + static_cast<size_t>(internal::kResidualSpareRows) * stride) *
+        sizeof(double);
+    const size_t mapped = (bytes + page - 1) / page * page + page;
+    void* base = mmap(nullptr, mapped, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ASSERT_NE(base, MAP_FAILED);
+    char* guard = static_cast<char*>(base) + mapped - page;
+    ASSERT_EQ(mprotect(guard, page, PROT_NONE), 0);
+    double* res = reinterpret_cast<double*>(guard - bytes);
+    for (size_t k = 0; k < bytes / sizeof(double); ++k) {
+      res[k] = k < values ? static_cast<double>(k % 7) / 7.0 : 0.0;
+    }
+    CorrelationMatrix corr;
+    corr.Resize(n);
+    for (const internal::TileKernel& kernel :
+         internal::SupportedTileKernels()) {
+      SCOPED_TRACE(::testing::Message()
+                   << kernel.name << " n=" << n << " w=" << w);
+      for (int i = 0; i + 1 < n; i += kernel.block_rows) {
+        kernel.block(res, stride, w, n, i, &corr);
+      }
+      // Cell (0, n - 1): the first row against the last column.
+      double dot = 0.0;
+      for (int t = 0; t < w; ++t) {
+        dot += res[static_cast<size_t>(t) * stride] *
+               res[static_cast<size_t>(t) * stride + n - 1];
+      }
+      EXPECT_EQ(corr.at(0, n - 1), std::clamp(dot, -1.0, 1.0));
+    }
+    ASSERT_EQ(munmap(base, mapped), 0);
+  }
+}
+
+TEST(CorrelationKernelPickTest, ProductionRunsTheWidestSupportedKernel) {
+  const std::span<const internal::TileKernel> kernels =
+      internal::SupportedTileKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(&internal::ActiveTileKernel(), &kernels.front());
+  EXPECT_STREQ(kernels.back().name, "baseline-2x8");
+#if defined(__x86_64__)
+  // The list follows the CPU: the AVX-512 kernel is listed exactly when the
+  // host (and its OS) runs AVX-512F.
+  std::vector<std::string> want;
+  if (__builtin_cpu_supports("avx512f")) want.push_back("avx512f-4x32");
+  want.push_back("baseline-2x8");
+  std::vector<std::string> got;
+  for (const internal::TileKernel& kernel : kernels) got.push_back(kernel.name);
+  EXPECT_EQ(got, want);
+#endif
+}
 
 // ---- The packed triangle -------------------------------------------------
 

@@ -21,10 +21,12 @@
 #   7. engine     — focused re-run of the batch/stream/fleet equivalence,
 #                   allocation-gauge and SampleWindow cadence tests, plus the
 #                   bit-for-bit reference tests of the correlation and kNN
-#                   kernels (their n_threads = 3 cases are the TSan
-#                   coverage), under the asan-ubsan and tsan presets:
-#                   byte-identical drivers must stay identical when the
-#                   sanitizers perturb layout and scheduling.
+#                   kernels (every tile kernel the host runs; their
+#                   n_threads = 3 cases are the TSan coverage, and ASan
+#                   catches a block reading past the padding), under the
+#                   asan-ubsan and tsan presets: byte-identical drivers must
+#                   stay identical when the sanitizers perturb layout and
+#                   scheduling.
 #   8. obs        — exposition-server smoke under the tsan preset: start,
 #                   scrape /metrics, /healthz and /explain, and the
 #                   concurrent-scrape-while-ingesting hammering, plus the
@@ -59,6 +61,13 @@
 #                   seeded ACQUIRED_BEFORE inversion fixture (one-line SKIP
 #                   where clang++ is absent — CL009 and the tracker carry
 #                   the contract there).
+#  14. native     — a Release build with -march=native (FMA and the host's
+#                   widest vectors in every translation unit) running the
+#                   correlation and kNN reference suites and the engine
+#                   equivalence gate: the correlation cells must keep their
+#                   bits under any target flags, which fails if
+#                   -ffp-contract=off stops reaching the kernels or the
+#                   reference loops.
 #
 # Presets come from CMakePresets.json; each stage uses its own binaryDir so
 # the matrix never contaminates the default build/.
@@ -66,14 +75,14 @@
 # Usage: tools/verify_matrix.sh [stage ...]
 #   with no arguments, runs all stages; otherwise only the named ones
 #   (checked, asan-ubsan, tsan, lint, lint-cad, thread-safety, engine, obs,
-#   advisor, fleet, function-effects, realtime, deadlock).
+#   advisor, fleet, function-effects, realtime, deadlock, native).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2> /dev/null || echo 2)"
 STAGES=("$@")
-[[ ${#STAGES[@]} -eq 0 ]] && STAGES=(checked asan-ubsan tsan lint lint-cad thread-safety engine obs advisor fleet function-effects realtime deadlock)
+[[ ${#STAGES[@]} -eq 0 ]] && STAGES=(checked asan-ubsan tsan lint lint-cad thread-safety engine obs advisor fleet function-effects realtime deadlock native)
 
 # Probes whether clang++ accepts a compile flag (e.g. -Wfunction-effects,
 # -fsanitize=realtime). Both realtime stages need Clang 20+; probing the
@@ -115,7 +124,7 @@ run_engine_under() {
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$JOBS"
   ctest --preset "$preset" \
-    -R 'EngineEquivalenceTest|EngineAllocTest|EngineAllocSweepTest|SampleWindowTest|CorrelationKernelReferenceTest|CorrelationMatrixLayoutTest|CorrelationMatrixTest|KnnReferenceTest' \
+    -R 'EngineEquivalenceTest|EngineAllocTest|EngineAllocSweepTest|SampleWindowTest|CorrelationKernelReferenceTest|CorrelationKernelBoundsTest|CorrelationKernelPickTest|CorrelationMatrixLayoutTest|CorrelationMatrixTest|KnnReferenceTest' \
     --output-on-failure
 }
 
@@ -236,6 +245,16 @@ for stage in "${STAGES[@]}"; do
         echo "SKIP: clang++ not installed; cad_lint CL009 and the runtime lock-order tracker carry the lock-order contract on this toolchain."
       fi
       ;;
+    native)
+      echo
+      echo "==== [native] -march=native: correlation cells under any target flags ===="
+      cmake --preset native
+      cmake --build --preset native -j "$JOBS" \
+        --target stats_test graph_test engine_test
+      ctest --preset native \
+        -R 'CorrelationKernelReferenceTest|CorrelationKernelBoundsTest|CorrelationKernelPickTest|CorrelationMatrixLayoutTest|CorrelationMatrixTest|KnnReferenceTest|EngineEquivalenceTest' \
+        --output-on-failure
+      ;;
     realtime)
       echo
       echo "==== [realtime] RealtimeSanitizer engine/streaming/recorder ===="
@@ -255,7 +274,7 @@ for stage in "${STAGES[@]}"; do
       echo "error: unknown stage '$stage'" \
            "(expected: checked, asan-ubsan, tsan, lint, lint-cad," \
            "thread-safety, engine, obs, advisor, fleet, function-effects," \
-           "realtime, deadlock)" >&2
+           "realtime, deadlock, native)" >&2
       exit 2
       ;;
   esac
