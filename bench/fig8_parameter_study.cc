@@ -174,16 +174,6 @@ int Main(int argc, char** argv) {
           });
   }
   {
-    Sweep(studies,
-          "Correlation maintenance: direct vs incremental (same output):",
-          {"direct", "incremental"},
-          [&](const Study& study, size_t i) {
-            core::CadOptions options = study.dataset.recommended;
-            options.incremental_correlation = i == 1;
-            return options;
-          });
-  }
-  {
     Sweep(studies, "Correlation measure: Pearson (paper) vs Spearman:",
           {"pearson", "spearman"},
           [&](const Study& study, size_t i) {

@@ -35,16 +35,6 @@ struct CadOptions {
   // hundred sensors (IS-3..IS-5 scale).
   int n_threads = 1;
 
-  // Maintain the correlation matrix incrementally across rounds — O(n^2 s)
-  // per round instead of O(n^2 w), a ~w/s-fold TPR improvement at the
-  // paper-recommended s ≈ 0.02 w (see stats/rolling_correlation.h).
-  // Correlations differ from the direct computation only by float rounding
-  // (~1e-12). The engine slides its tracker with every sample it is pushed,
-  // so batch, streaming and fleet drivers give bit-identical results with
-  // this on, as with it off. Ignored under Spearman (ranks are not
-  // slide-updatable).
-  bool incremental_correlation = false;
-
   // Outlier threshold theta on the ratio of co-appearance number RC_{v,r}
   // (Definition 7). The paper recommends ~0.3 under its global (n-1)
   // normalization, where a perfectly stable vertex sits at roughly
@@ -141,7 +131,9 @@ struct CadOptions {
   // port (StreamingCad::exposition_port() reports it); 1..65535 = that port.
   int exposition_port = -1;
 
-  // Validates the option set against a series length.
+  // Validates the option set against a series length. The real-valued range
+  // checks are written so that NaN fails them (every comparison with NaN is
+  // false).
   [[nodiscard]] Status Validate(int series_length) const {
     if (window <= 0 || step <= 0) {
       return Status::InvalidArgument("window and step must be positive");
@@ -153,20 +145,20 @@ struct CadOptions {
       return Status::InvalidArgument("window exceeds series length");
     }
     if (k < 1) return Status::InvalidArgument("k must be >= 1");
-    if (tau < 0.0 || tau > 1.0) {
+    if (!(tau >= 0.0 && tau <= 1.0)) {
       return Status::InvalidArgument("tau must lie in [0, 1]");
     }
-    if (theta < 0.0 || theta > 1.0) {
+    if (!(theta >= 0.0 && theta <= 1.0)) {
       return Status::InvalidArgument("theta must lie in [0, 1]");
     }
-    if (eta <= 0.0) return Status::InvalidArgument("eta must be positive");
+    if (!(eta > 0.0)) return Status::InvalidArgument("eta must be positive");
     if (rc_window < 0) {
       return Status::InvalidArgument("rc_window must be >= 0");
     }
     if (n_threads < 1) {
       return Status::InvalidArgument("n_threads must be >= 1");
     }
-    if (window_mark_fraction <= 0.0 || window_mark_fraction > 1.0) {
+    if (!(window_mark_fraction > 0.0 && window_mark_fraction <= 1.0)) {
       return Status::InvalidArgument(
           "window_mark_fraction must lie in (0, 1]");
     }

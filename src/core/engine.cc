@@ -109,10 +109,6 @@ DetectionEngine::DetectionEngine(int n_sensors, const CadOptions& options)
           obs::ResolveRegistry(options.metrics_registry))),
       samples_(n_sensors, options.window, options.step),
       window_(n_sensors, options.window),
-      rolling_(options.incremental_correlation && !options.use_spearman
-                   ? std::make_unique<stats::RollingCorrelationTracker>(
-                         n_sensors, options.window)
-                   : nullptr),
       processor_(n_sensors, options),
       policy_(options),
       assembler_(n_sensors, options, metrics_),
@@ -156,7 +152,6 @@ Status DetectionEngine::WarmUp(const ts::MultivariateSeries& historical) {
     if (round++ >= burn_in) policy_.Seed(out.n_variations);
   }
   samples_.Clear();
-  if (rolling_ != nullptr) rolling_->Clear();
   // Stage-boundary contract (CAD_CHECK_LEVEL=full only): warm-up must leave
   // a well-formed mu/sigma accumulator behind.
   CAD_VALIDATE(check::ValidateRunningStats(policy_.stats(),
@@ -168,10 +163,6 @@ bool DetectionEngine::Ingest(std::span<const double> sample)
     CAD_REALTIME_AUDITED {
   CAD_CHECK(static_cast<int>(sample.size()) == n_sensors_,
             "sample width mismatch");
-  if (rolling_ != nullptr) {
-    if (samples_.full()) rolling_->Remove(samples_.oldest());
-    rolling_->Add(sample);
-  }
   return samples_.Append(sample);
 }
 
@@ -179,9 +170,6 @@ const RoundOutput& DetectionEngine::ProcessRound(RoundProcessor* processor,
                                                  RoundWorkspace* workspace)
     CAD_REALTIME_AUDITED {
   samples_.MaterializeInto(&window_);
-  if (rolling_ != nullptr) {
-    return processor->ProcessRolling(rolling_.get(), window_, workspace);
-  }
   return processor->ProcessWindow(window_, 0, workspace);
 }
 

@@ -4,9 +4,9 @@
 // and fleet tenants are thin drivers that Push one time point at a time.
 // Everything between a sample and a verdict lives here exactly once — the
 // SampleWindow that decides when a round closes and where its window sits,
-// the rolling correlation tracker, the round (Algorithm 1 via
-// RoundProcessor), the eta-sigma decision, the mu/sigma update and anomaly
-// assembly — so the same samples give the same rounds in every driver.
+// the round (Algorithm 1 via RoundProcessor), the eta-sigma decision, the
+// mu/sigma update and anomaly assembly — so the same samples give the same
+// rounds in every driver.
 // DESIGN.md "Engine architecture" shows how to add a driver.
 //
 // The engine is not synchronized; drivers that need thread safety wrap it
@@ -18,7 +18,6 @@
 #define CAD_CORE_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -32,7 +31,6 @@
 #include "core/types.h"
 #include "obs/flight_recorder.h"
 #include "obs/pipeline_metrics.h"
-#include "stats/rolling_correlation.h"
 #include "stats/running_stats.h"
 #include "ts/multivariate_series.h"
 
@@ -213,8 +211,7 @@ class DetectionEngine {
   }
 
  private:
-  // Feeds one sample to the window and the rolling tracker; true when it
-  // closes a round.
+  // Feeds one sample to the window; true when it closes a round.
   bool Ingest(std::span<const double> sample) CAD_REALTIME_AUDITED;
   // Runs Algorithm 1 on `processor` over the current window.
   const RoundOutput& ProcessRound(RoundProcessor* processor,
@@ -229,8 +226,6 @@ class DetectionEngine {
   obs::PipelineMetrics metrics_;
   SampleWindow samples_;           // ring + round cadence + time axis
   ts::MultivariateSeries window_;  // the ring, materialized per round
-  // Set iff incremental_correlation applies (Pearson only).
-  std::unique_ptr<stats::RollingCorrelationTracker> rolling_;
   RoundProcessor processor_;
   DecisionPolicy policy_;
   AnomalyAssembler assembler_;

@@ -67,60 +67,35 @@ const RoundOutput& RoundProcessor::ProcessWindow(
     const ts::MultivariateSeries& series, int start,
     RoundWorkspace* workspace) CAD_REALTIME_AUDITED {
   CAD_CHECK(series.n_sensors() == n_sensors_, "sensor count mismatch");
-  RoundWorkspace* ws = ResolveWorkspace(workspace);
-  out_.Clear();  // cleared before the stage timers start accumulating
+  RoundWorkspace& ws = *ResolveWorkspace(workspace);
+  RoundOutput& out = out_;
+  out.Clear();  // cleared before the stage timers start accumulating
   obs::Span round_span(tracer_, span_name_);
+  if (round_span.active()) {
+    // cad-lint: allow(CL007) guarded by active(): only runs when a tracer is attached, an opt-in diagnostic mode
+    round_span.AddArg("round", std::to_string(rounds_processed_));
+  }
   obs::ScopedHistogramTimer round_timer(metrics_.round_seconds,
-                                        &out_.round_seconds);
+                                        &out.round_seconds);
+
+  // The window's correlation matrix: the candidate TSG edge weights.
+  Stopwatch stage_watch;
   obs::Span corr_span(tracer_, "correlation");
-  Stopwatch corr_watch;
   stats::WindowCorrelationMatrixInto(
       series, start, options_.window,
       options_.use_spearman ? stats::CorrelationKind::kSpearman
                             : stats::CorrelationKind::kPearson,
-      options_.n_threads, &ws->correlation_scratch, &ws->correlation);
-  out_.correlation_seconds = corr_watch.ElapsedSeconds();
-  metrics_.correlation_seconds->Observe(out_.correlation_seconds);
+      options_.n_threads, &ws.correlation_scratch, &ws.correlation);
   corr_span.End();
-  return FinishRound(ws->correlation, &round_span, ws);
-}
-
-const RoundOutput& RoundProcessor::ProcessRolling(
-    stats::RollingCorrelationTracker* rolling,
-    const ts::MultivariateSeries& window,
-    RoundWorkspace* workspace) CAD_REALTIME_AUDITED {
-  RoundWorkspace* ws = ResolveWorkspace(workspace);
-  out_.Clear();
-  obs::Span round_span(tracer_, span_name_);
-  obs::ScopedHistogramTimer round_timer(metrics_.round_seconds,
-                                        &out_.round_seconds);
-  {
-    obs::Span corr_span(tracer_, "correlation");
-    obs::ScopedHistogramTimer corr_timer(metrics_.correlation_seconds,
-                                         &out_.correlation_seconds);
-    if (rolling->refresh_due()) rolling->Reset(window, 0);
-    rolling->CorrelationsInto(&ws->correlation);
-  }
-  return FinishRound(ws->correlation, &round_span, ws);
-}
-
-const RoundOutput& RoundProcessor::FinishRound(
-    const stats::CorrelationMatrix& corr, obs::Span* round_span,
-    RoundWorkspace* ws_ptr) CAD_REALTIME_AUDITED {
-  RoundWorkspace& ws = *ws_ptr;
-  CAD_CHECK(corr.size() == n_sensors_, "correlation matrix size mismatch");
-  if (round_span->active()) {
-    // cad-lint: allow(CL007) guarded by active(): only runs when a tracer is attached, an opt-in diagnostic mode
-    round_span->AddArg("round", std::to_string(rounds_processed_));
-  }
-  RoundOutput& out = out_;  // Clear()ed by the ProcessWindow/Rolling entry
-  Stopwatch stage_watch;
+  out.correlation_seconds = stage_watch.ElapsedSeconds();
+  metrics_.correlation_seconds->Observe(out.correlation_seconds);
 
   // Phase 1: TSG + community detection.
+  stage_watch.Restart();
   graph::KnnGraphOptions knn_options{.k = options_.k, .tau = options_.tau};
   graph::KnnGraphStats tsg_stats;
   obs::Span knn_span(tracer_, "knn_graph");
-  graph::BuildKnnGraphInto(corr, knn_options, &ws.knn,
+  graph::BuildKnnGraphInto(ws.correlation, knn_options, &ws.knn,
                            &ws.tsg, &tsg_stats);
   const graph::Graph& tsg = ws.tsg;
   knn_span.End();

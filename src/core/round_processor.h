@@ -7,10 +7,9 @@
 #define CAD_CORE_ROUND_PROCESSOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "common/realtime.h"
 #include "core/cad_options.h"
@@ -19,7 +18,7 @@
 #include "graph/louvain.h"
 #include "obs/pipeline_metrics.h"
 #include "obs/trace.h"
-#include "stats/rolling_correlation.h"
+#include "stats/correlation.h"
 #include "ts/multivariate_series.h"
 
 namespace cad::core {
@@ -123,14 +122,6 @@ class RoundProcessor {
                                    RoundWorkspace* workspace = nullptr)
       CAD_REALTIME_AUDITED;
 
-  // The incremental_correlation form: the correlations come from
-  // `rolling`, which its owner slides one sample at a time; a due refresh
-  // first recomputes it from `window`, the materialized current window.
-  const RoundOutput& ProcessRolling(stats::RollingCorrelationTracker* rolling,
-                                    const ts::MultivariateSeries& window,
-                                    RoundWorkspace* workspace = nullptr)
-      CAD_REALTIME_AUDITED;
-
   // Clears all cross-round state (communities, RC history, outlier set).
   void Reset();
 
@@ -144,11 +135,6 @@ class RoundProcessor {
   const CoAppearanceTracker& tracker() const { return tracker_; }
 
  private:
-  // Phases 1-3 on a ready correlation matrix, inside the given round span.
-  const RoundOutput& FinishRound(const stats::CorrelationMatrix& corr,
-                                 obs::Span* round_span,
-                                 RoundWorkspace* ws) CAD_REALTIME_AUDITED;
-
   // The round's arena: the caller-supplied one, else the lazily-created
   // owned workspace (kept out of the constructor so pooled-only processors
   // never pay for a private arena).

@@ -46,14 +46,6 @@ class SampleWindow {
     return samples_seen_ >= window_ && (samples_seen_ - window_) % step_ == 0;
   }
 
-  // True once the ring holds `window` samples; the next Append then
-  // overwrites oldest(), the oldest buffered sample.
-  bool full() const { return buffered_ == window_; }
-  std::span<const double> oldest() const {
-    return {buffer_.data() + static_cast<size_t>(head_) * n_sensors_,
-            static_cast<size_t>(n_sensors_)};
-  }
-
   // Materializes the ring, oldest sample first, into the sensor-major series
   // the round consumes (`out` must be shaped n_sensors x window). Valid once
   // samples_seen() >= window.

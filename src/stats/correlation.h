@@ -7,9 +7,9 @@
 //
 // Layout. A CorrelationMatrix stores only the n(n-1)/2 cells above the
 // diagonal, row by row (row i holds (i, i+1) ... (i, n-1)); at(i, j) reads
-// either half and the diagonal reads 1. Every producer (the direct kernel
-// below, RollingCorrelationTracker) writes each row once through upper_row,
-// and the kNN builder reads the rows back in the same order.
+// either half and the diagonal reads 1. The matrix kernel below writes each
+// row once through upper_row, and the kNN builder reads the rows back in the
+// same order.
 //
 // Kernel. The matrix form precomputes each sensor's centered, unit-norm
 // residuals (ranked first for Spearman), stored time-major: w rows of n

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 namespace cad::core {
 namespace {
 
@@ -39,6 +42,19 @@ TEST(CadOptionsTest, ThresholdRanges) {
   options.eta = 3.0;
   options.k = 0;
   EXPECT_FALSE(options.Validate(1000).ok());
+
+  // Every comparison with NaN is false, so a range check written as
+  // "reject when below or above" would let NaN through.
+  const std::pair<const char*, double CadOptions::*> fields[] = {
+      {"tau", &CadOptions::tau},
+      {"theta", &CadOptions::theta},
+      {"eta", &CadOptions::eta},
+      {"window_mark_fraction", &CadOptions::window_mark_fraction}};
+  for (const auto& [name, field] : fields) {
+    CadOptions with_nan;
+    with_nan.*field = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_FALSE(with_nan.Validate(1000).ok()) << name << " = NaN";
+  }
 }
 
 TEST(CadOptionsTest, RcWindowAndFixedXi) {

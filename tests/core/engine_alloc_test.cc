@@ -191,7 +191,6 @@ struct AllocSweepCase {
   bool private_registry;    // false = CadOptions::metrics_registry unset
                             // (process-global registry)
   int flight_log_capacity;  // 0 disables the recorder entirely
-  bool incremental_correlation = false;  // rolling tracker slides per sample
 };
 
 class EngineAllocSweepTest : public ::testing::TestWithParam<AllocSweepCase> {};
@@ -203,7 +202,6 @@ TEST_P(EngineAllocSweepTest, SteadyStateRoundsAreAllocationFree) {
   obs::Registry registry;
   CadOptions options = MakeOptions(c.private_registry ? &registry : nullptr);
   options.flight_log_capacity = c.flight_log_capacity;
-  options.incremental_correlation = c.incremental_correlation;
   StreamingCad streaming(scenario.test.n_sensors(), options);
   ASSERT_TRUE(streaming.WarmUp(scenario.train).ok());
 
@@ -243,8 +241,7 @@ INSTANTIATE_TEST_SUITE_P(
         AllocSweepCase{"private_registry_flight_off", true, 0},
         AllocSweepCase{"private_registry_flight_default", true, 256},
         AllocSweepCase{"global_registry_flight_off", false, 0},
-        AllocSweepCase{"global_registry_flight_default", false, 256},
-        AllocSweepCase{"private_registry_incremental", true, 256, true}),
+        AllocSweepCase{"global_registry_flight_default", false, 256}),
     [](const ::testing::TestParamInfo<AllocSweepCase>& info) {
       return std::string(info.param.name);
     });

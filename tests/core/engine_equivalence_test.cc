@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/cad_detector.h"
@@ -225,20 +226,31 @@ TEST(EngineEquivalenceTest, LargerNetworkMoreCommunities) {
   ExpectEquivalent(scenario.train, scenario.test, options);
 }
 
-TEST(EngineEquivalenceTest, IncrementalCorrelation) {
-  // The rolling tracker lives in the engine and slides with every sample,
-  // so its floating-point history is the same in every driver.
-  const testing::SmallScenario scenario = testing::MakeSmallScenario();
-  CadOptions options = BaseOptions();
-  options.incremental_correlation = true;
-  ExpectEquivalent(scenario.train, scenario.test, options);
-}
-
 TEST(EngineEquivalenceTest, SpearmanCorrelation) {
   const testing::SmallScenario scenario = testing::MakeSmallScenario();
   CadOptions options = BaseOptions();
   options.use_spearman = true;
   ExpectEquivalent(scenario.train, scenario.test, options);
+}
+
+TEST(EngineEquivalenceTest, NonFiniteAndFlatlinedReadings) {
+  // Bad input must give the same verdicts in every driver: one NaN, +Inf,
+  // -Inf and an overflow-sized reading, plus a sensor stuck at one value for
+  // 100 samples. Which anomalies that raises is not judged here, only that
+  // batch, stream and fleet agree on every record.
+  testing::SmallScenario scenario = testing::MakeSmallScenario();
+  ts::MultivariateSeries& test = scenario.test;
+  test.set_value(3, 100, std::numeric_limits<double>::quiet_NaN());
+  test.set_value(5, 300, std::numeric_limits<double>::infinity());
+  test.set_value(7, 301, -std::numeric_limits<double>::infinity());
+  test.set_value(9, 500, 1e300);
+  for (int t = 600; t < 700; ++t) test.set_value(1, t, 4.2);
+  for (const bool spearman : {false, true}) {
+    SCOPED_TRACE(spearman ? "Spearman" : "Pearson");
+    CadOptions options = BaseOptions();
+    options.use_spearman = spearman;
+    ExpectEquivalent(scenario.train, test, options);
+  }
 }
 
 TEST(EngineEquivalenceTest, TrailingPartialStep) {

@@ -85,9 +85,6 @@ TEST(SampleWindowTest, MaterializeUnwrapsTheRingOldestFirst) {
     const std::vector<double> sample = {1.0 * t, 10.0 + t, 100.0 + t};
     window.Append(sample);
   }
-  ASSERT_TRUE(window.full());
-  EXPECT_EQ(window.oldest()[0], 3.0);
-  EXPECT_EQ(window.oldest()[2], 103.0);
   ts::MultivariateSeries out(3, 4);
   window.MaterializeInto(&out);
   for (int t = 0; t < 4; ++t) {
@@ -112,7 +109,6 @@ TEST(SampleWindowTest, WindowTimesTrackSamplesSeen) {
   // Clear starts a new stream at time 0: its first round is [0, 8) again.
   window.Clear();
   EXPECT_EQ(window.samples_seen(), 0);
-  EXPECT_FALSE(window.full());
   const std::vector<ClosedRound> rounds = Feed(&window, 8);
   ASSERT_EQ(rounds.size(), 1u);
   EXPECT_EQ(rounds[0].start, 0);

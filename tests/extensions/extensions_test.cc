@@ -141,32 +141,6 @@ TEST(ThreadedCadTest, OptionsValidateThreadCount) {
   EXPECT_FALSE(options.Validate(1000).ok());
 }
 
-// ---- Incremental correlation ----------------------------------------------
-
-TEST(IncrementalCadTest, MatchesDirectDetector) {
-  // Float rounding differs by ~1e-12, far below every decision threshold,
-  // so the detection output must be identical.
-  const testing::SmallScenario scenario = testing::MakeSmallScenario();
-  core::CadOptions options;
-  options.window = 40;
-  options.step = 4;
-  options.k = 3;
-  options.tau = 0.55;
-  core::CadDetector direct(options);
-  options.incremental_correlation = true;
-  core::CadDetector incremental(options);
-  const core::DetectionReport a =
-      direct.Detect(scenario.test, &scenario.train).ValueOrDie();
-  const core::DetectionReport b =
-      incremental.Detect(scenario.test, &scenario.train).ValueOrDie();
-  EXPECT_EQ(a.point_labels, b.point_labels);
-  ASSERT_EQ(a.anomalies.size(), b.anomalies.size());
-  for (size_t i = 0; i < a.anomalies.size(); ++i) {
-    EXPECT_EQ(a.anomalies[i].sensors, b.anomalies[i].sensors);
-    EXPECT_EQ(a.anomalies[i].first_round, b.anomalies[i].first_round);
-  }
-}
-
 // ---- Parallel ensemble (paper Section IV-F) -------------------------------
 
 core::CadOptions ScenarioCadOptions() {

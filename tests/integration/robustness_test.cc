@@ -53,7 +53,9 @@ RandomCase MakeRandomCase(uint64_t seed) {
   o.rc_window = rng.UniformInt(0, 16);
   o.rc_global_normalization = rng.NextDouble() < 0.3;
   o.use_spearman = rng.NextDouble() < 0.3;
-  o.incremental_correlation = rng.NextDouble() < 0.3;
+  // Discarded: this draw chose an option that no longer exists, and keeping
+  // it keeps every later option's value in each seeded case.
+  (void)rng.NextDouble();
   o.n_threads = rng.UniformInt(1, 4);
   o.window_mark_fraction = rng.Uniform(0.05, 1.0);
   o.use_sigma_rule = rng.NextDouble() < 0.8;
