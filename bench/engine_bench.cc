@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "check/check.h"
 #include "common/alloc_tracker.h"
 #include "common/mutex.h"
 #include "common/realtime.h"
@@ -405,6 +406,16 @@ int Main(int argc, char** argv) {
   // (The whole-call detect_call_allocs_per_round figure is expected to be
   // nonzero — that is harness cost, reported separately.)
   constexpr double kMaxSteadyAllocsPerRound = 1.0;
+#if CAD_VALIDATE_ENABLED
+  // At CAD_CHECK_LEVEL=full the stage-boundary validators allocate inside
+  // every round by design, so the figure is reported but not gated.
+  std::fprintf(stderr,
+               "[engine_bench] steady-state round-loop allocations not gated "
+               "(batch %.3f/round, stream %.3f/round; gate is %.1f): the "
+               "validators allocate at CAD_CHECK_LEVEL=full\n",
+               batch.allocs_per_round, stream.allocs_per_round,
+               kMaxSteadyAllocsPerRound);
+#else
   if (common::AllocHookInstalled() &&
       (batch.allocs_per_round > kMaxSteadyAllocsPerRound ||
        stream.allocs_per_round > kMaxSteadyAllocsPerRound)) {
@@ -415,6 +426,7 @@ int Main(int argc, char** argv) {
                  kMaxSteadyAllocsPerRound);
     return 1;
   }
+#endif
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {

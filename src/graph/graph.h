@@ -7,7 +7,9 @@
 #define CAD_GRAPH_GRAPH_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "check/check.h"
@@ -41,7 +43,7 @@ class Graph {
   int64_t n_edges() const { return n_edges_; }
 
   // Adds an undirected edge; u != v, both in range. Duplicate edges are the
-  // caller's responsibility (the kNN builder never produces them).
+  // caller's responsibility (Louvain's aggregation never produces them).
   void AddEdge(int u, int v, double weight) {
     CAD_CHECK(u != v, "self-loop");
     CAD_CHECK(u >= 0 && u < n_vertices() && v >= 0 && v < n_vertices(),
@@ -56,6 +58,34 @@ class Graph {
     int vertex;
     double weight;
   };
+
+  // Replaces every vertex's adjacency list in one call: the graph gets
+  // offsets.size() - 1 vertices, and vertex u's list becomes
+  // neighbors[offsets[u], offsets[u + 1]) in that order. n_edges() becomes
+  // half the entries. Nothing is checked: the caller lists both half-edges
+  // of every edge, as the kNN builder does (check::ValidateGraph verifies the
+  // TSG at CAD_CHECK_LEVEL=full), or builds a malformed graph on purpose, as
+  // the validator tests do. Each list keeps its capacity, and one that must
+  // grow takes the next power of two, the capacity a list of AddEdge calls
+  // reaches, so a graph rebuilt every round stops allocating once it has
+  // seen its peak per-vertex degree.
+  void AssignAdjacency(std::span<const int> offsets,
+                       std::span<const Neighbor> neighbors) {
+    const size_t n = offsets.empty() ? 0 : offsets.size() - 1;
+    if (adjacency_.size() != n) adjacency_.resize(n);
+    for (size_t u = 0; u < n; ++u) {
+      const std::span<const Neighbor> list = neighbors.subspan(
+          static_cast<size_t>(offsets[u]),
+          static_cast<size_t>(offsets[u + 1] - offsets[u]));
+      std::vector<Neighbor>& adjacency = adjacency_[u];
+      if (list.size() > adjacency.capacity()) {
+        adjacency.clear();
+        adjacency.resize(std::bit_ceil(list.size()));
+      }
+      adjacency.assign(list.begin(), list.end());
+    }
+    n_edges_ = n == 0 ? 0 : (offsets[n] - offsets[0]) / 2;
+  }
 
   const std::vector<Neighbor>& neighbors(int u) const { return adjacency_[u]; }
 
@@ -79,9 +109,9 @@ class Graph {
 
   // All edges with u < v, sorted lexicographically (useful for tests and for
   // deterministic serialization). The Into form reuses `edges`' capacity.
-  // Edges come out already sorted when each vertex's larger neighbours were
-  // added in ascending order, as the kNN builder and Louvain's aggregation
-  // add them; the sort runs only when they were not.
+  // Edges come out already sorted when each vertex's larger neighbours sit
+  // in ascending order, as in the kNN builder's lists and Louvain's
+  // aggregated graphs; the sort runs only when they do not.
   void SortedEdgesInto(std::vector<Edge>* edges) const {
     edges->clear();
     // cad-lint: allow(CL007) reserve into retained capacity: the caller's workspace vector keeps its storage across rounds
@@ -110,14 +140,6 @@ class Graph {
       if (nb.vertex == v) return true;
     }
     return false;
-  }
-
-  // Test-only back door: appends one directed half-edge, bypassing the
-  // AddEdge invariants and the n_edges() bookkeeping. Exists so the
-  // check/validators.h tests can construct minimally-corrupted graphs;
-  // production code must use AddEdge.
-  void CorruptHalfEdgeForTesting(int u, int v, double weight) {
-    adjacency_[u].push_back({v, weight});
   }
 
  private:

@@ -38,6 +38,20 @@ Graph TriangleGraph() {
   return g;
 }
 
+// A graph with exactly these adjacency lists (half-edges), built through the
+// unchecked bulk call, so a test can hand the validator any malformation.
+Graph FromLists(const std::vector<std::vector<Graph::Neighbor>>& lists) {
+  std::vector<int> offsets = {0};
+  std::vector<Graph::Neighbor> neighbors;
+  for (const auto& list : lists) {
+    neighbors.insert(neighbors.end(), list.begin(), list.end());
+    offsets.push_back(static_cast<int>(neighbors.size()));
+  }
+  Graph g;
+  g.AssignAdjacency(offsets, neighbors);
+  return g;
+}
+
 TEST(ValidateGraphTest, AcceptsWellFormedGraph) {
   obs::Registry registry;
   EXPECT_TRUE(ValidateGraph(TriangleGraph(), {}, &registry).ok());
@@ -46,8 +60,10 @@ TEST(ValidateGraphTest, AcceptsWellFormedGraph) {
 
 TEST(ValidateGraphTest, FlagsOneAsymmetricHalfEdge) {
   obs::Registry registry;
-  Graph g = TriangleGraph();
-  g.CorruptHalfEdgeForTesting(0, 1, 0.9);  // 0->1 now appears twice, 1->0 once
+  // The triangle with 0->1 listed twice and 1->0 once.
+  const Graph g = FromLists({{{1, 0.9}, {2, 0.7}, {1, 0.9}},
+                             {{0, 0.9}, {2, -0.8}},
+                             {{1, -0.8}, {0, 0.7}}});
   const Status status = ValidateGraph(g, {}, &registry);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(status.message(), "duplicate edge (0, 1): graph must be simple");
@@ -57,9 +73,8 @@ TEST(ValidateGraphTest, FlagsOneAsymmetricHalfEdge) {
 
 TEST(ValidateGraphTest, FlagsMissingMirrorHalfEdge) {
   obs::Registry registry;
-  Graph g(3);
-  g.AddEdge(0, 1, 0.9);
-  g.CorruptHalfEdgeForTesting(1, 2, 0.5);  // no matching 2->1 entry
+  // Edge (0, 1) plus a 1->2 half-edge with no matching 2->1 entry.
+  const Graph g = FromLists({{{1, 0.9}}, {{0, 0.9}, {2, 0.5}}, {}});
   const Status status = ValidateGraph(g, {}, &registry);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(status.message(),
@@ -67,12 +82,10 @@ TEST(ValidateGraphTest, FlagsMissingMirrorHalfEdge) {
 }
 
 TEST(ValidateGraphTest, FlagsSelfLoopAndOutOfRangeNeighbor) {
-  Graph self_loop(2);
-  self_loop.CorruptHalfEdgeForTesting(1, 1, 0.4);
+  const Graph self_loop = FromLists({{}, {{1, 0.4}}});
   EXPECT_EQ(ValidateGraph(self_loop).message(), "self-loop at vertex 1");
 
-  Graph out_of_range(2);
-  out_of_range.CorruptHalfEdgeForTesting(0, 5, 0.4);
+  const Graph out_of_range = FromLists({{{5, 0.4}}, {}});
   EXPECT_EQ(ValidateGraph(out_of_range).message(),
             "vertex 0 has neighbor 5 outside [0, 2)");
 }
@@ -103,9 +116,7 @@ TEST(ValidateGraphTest, EnforcesOptionalDegreeAndEdgeBounds) {
 }
 
 TEST(ValidateGraphTest, MirroredWeightsMustMatch) {
-  Graph g(2);
-  g.CorruptHalfEdgeForTesting(0, 1, 0.5);
-  g.CorruptHalfEdgeForTesting(1, 0, 0.25);
+  const Graph g = FromLists({{{1, 0.5}}, {{0, 0.25}}});
   const Status status = ValidateGraph(g);
   EXPECT_EQ(status.message(), "edge (0, 1) weight mismatch: 0.5 vs 0.25");
 }

@@ -75,5 +75,33 @@ TEST(GraphTest, NeighborsCarryWeights) {
   EXPECT_EQ(g.neighbors(0)[0].weight, -0.9);
 }
 
+TEST(GraphTest, AssignAdjacencyReplacesEveryListAndKeepsCapacity) {
+  Graph g(2);
+  g.AddEdge(0, 1, 0.5);
+  // Path 0 - 1 - 2, each list in the order given.
+  const std::vector<int> offsets = {0, 1, 3, 4};
+  const std::vector<Graph::Neighbor> path = {
+      {1, 0.9}, {2, -0.8}, {0, 0.9}, {1, -0.8}};
+  g.AssignAdjacency(offsets, path);
+  EXPECT_EQ(g.n_vertices(), 3);
+  EXPECT_EQ(g.n_edges(), 2);
+  ASSERT_EQ(g.degree(1), 2);
+  EXPECT_EQ(g.neighbors(1)[0].vertex, 2);
+  EXPECT_EQ(g.neighbors(1)[0].weight, -0.8);
+  EXPECT_EQ(g.neighbors(1)[1].vertex, 0);
+  EXPECT_FALSE(g.HasEdge(0, 2));
+
+  // A smaller assignment reuses every list's storage.
+  const Graph::Neighbor* list1 = g.neighbors(1).data();
+  const std::vector<int> one_edge = {0, 0, 1, 2};
+  const std::vector<Graph::Neighbor> edge = {{2, 0.3}, {1, 0.3}};
+  g.AssignAdjacency(one_edge, edge);
+  EXPECT_EQ(g.n_edges(), 1);
+  EXPECT_EQ(g.degree(0), 0);
+  ASSERT_EQ(g.degree(1), 1);
+  EXPECT_EQ(g.neighbors(1).data(), list1);
+  EXPECT_TRUE(g.HasEdge(2, 1));
+}
+
 }  // namespace
 }  // namespace cad::graph

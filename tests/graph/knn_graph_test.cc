@@ -6,10 +6,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "datasets/generator.h"
+#include "datasets/registry.h"
 
 namespace cad::graph {
 namespace {
@@ -106,9 +109,9 @@ TEST(KnnGraphTest, EdgeCountBounded) {
 }
 
 
-// ---- The one-pass builder against the per-row sort, bit for bit ----------
+// ---- The candidate-list builder against the per-row sort, bit for bit -----
 
-// The builder the one-pass one replaced, kept verbatim as the reference:
+// The original builder, kept verbatim as the reference:
 // per vertex, the candidates above tau partially sorted by |corr| (index as
 // tie-break), the top k marked in an n x n pick array, then the symmetric
 // union added in (u, v) order.
@@ -186,6 +189,34 @@ stats::CorrelationMatrix WindowMatrix(int n) {
   return stats::WindowCorrelationMatrix(series, 0, len);
 }
 
+// Cells the selection must survive: NaN (never a candidate), ±Inf, ±1.5 and
+// ±1e300 (strengths past the top histogram bucket), and |r| exactly on the
+// bucket edges tau + j (1 - tau) / 64 for this tau, mixed with uniform cells.
+stats::CorrelationMatrix EdgeMatrix(int n, double tau) {
+  cad::Rng rng(static_cast<uint64_t>(311 + n));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             kInf, -kInf, 1.5, -1.5, 1e300, -1e300};
+  stats::CorrelationMatrix corr(n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      const double pick = rng.Uniform(0.0, 1.0);
+      double v;
+      if (pick < 0.15) {
+        v = specials[static_cast<int>(rng.Uniform(0.0, 7.0)) % 7];
+      } else if (pick < 0.7) {
+        const int edge = static_cast<int>(rng.Uniform(0.0, 65.0)) % 65;
+        v = tau + edge * (1.0 - tau) / 64.0;
+        if (rng.Uniform(0.0, 1.0) < 0.3) v = -v;
+      } else {
+        v = rng.Uniform(-1.0, 1.0);
+      }
+      corr.set(i, j, v);
+    }
+  }
+  return corr;
+}
+
 void ExpectSameGraph(const Graph& got, const Graph& want) {
   ASSERT_EQ(got.n_vertices(), want.n_vertices());
   EXPECT_EQ(got.n_edges(), want.n_edges());
@@ -208,14 +239,17 @@ TEST_P(KnnReferenceTest, BitIdenticalToPartialSortUnion) {
   const int n = GetParam();
   KnnScratch scratch;  // reused across every case, as in the engine
   Graph graph;
-  for (const bool tied : {true, false}) {
-    const stats::CorrelationMatrix corr =
-        tied ? TiedMatrix(n) : WindowMatrix(n);
-    for (const double tau : {0.0, 0.55}) {
-      for (const int k : {1, 3, std::max(1, n - 1), n + 5}) {
+  for (const std::string kind : {"tied", "window", "edges"}) {
+    // tau 1.0 puts every candidate in one histogram bucket.
+    for (const double tau : {0.0, 0.55, 1.0}) {
+      const stats::CorrelationMatrix corr =
+          kind == "tied"     ? TiedMatrix(n)
+          : kind == "window" ? WindowMatrix(n)
+                             : EdgeMatrix(n, tau);
+      for (const int k : {1, 3, 30, 50, std::max(1, n - 1), n + 5}) {
         const KnnGraphOptions options{.k = k, .tau = tau};
-        SCOPED_TRACE(::testing::Message() << (tied ? "tied" : "window")
-                                          << " tau=" << tau << " k=" << k);
+        SCOPED_TRACE(::testing::Message()
+                     << kind << " tau=" << tau << " k=" << k);
         KnnGraphStats want_stats;
         const Graph want = PartialSortReference(corr, options, &want_stats);
         KnnGraphStats got_stats;
@@ -237,6 +271,48 @@ INSTANTIATE_TEST_SUITE_P(Sizes, KnnReferenceTest,
                            name += std::to_string(info.param);
                            return name;
                          });
+
+// A window of the IS-5 plant (1,266 sensors, 20 communities, w 73) at the
+// workload's k 50 and tau 0.55, where most vertices hold a few more
+// candidates than k, so nearly every vertex runs the selection.
+TEST(Is5ShapeKnnReferenceTest, BitIdenticalToPartialSortUnion) {
+  const datasets::DatasetProfile profile =
+      datasets::ProfileByName("IS-5").value();
+  datasets::GeneratorOptions gen;
+  gen.n_sensors = profile.n_sensors;
+  gen.n_communities = profile.n_communities;
+  gen.noise_std = profile.noise_std;
+  gen.baseline_drift_std = profile.drift_std;
+  gen.seasonal_period = profile.seasonal_period;
+  ASSERT_EQ(gen.n_sensors, 1266);
+  ASSERT_EQ(gen.n_communities, 20);
+  cad::Rng rng(profile.seed);
+  datasets::SensorNetworkGenerator generator(gen, &rng);
+  const ts::MultivariateSeries series = generator.Generate(73, &rng);
+  const stats::CorrelationMatrix corr =
+      stats::WindowCorrelationMatrix(series, 0, 73);
+  const KnnGraphOptions options{.k = 50, .tau = 0.55};
+
+  int over_full = 0;
+  for (int u = 0; u < corr.size(); ++u) {
+    int candidates = 0;
+    for (int v = 0; v < corr.size(); ++v) {
+      if (v != u && std::abs(corr.at(u, v)) >= options.tau) ++candidates;
+    }
+    if (candidates > options.k) ++over_full;
+  }
+  EXPECT_GT(over_full, corr.size() / 2);
+
+  KnnGraphStats want_stats;
+  const Graph want = PartialSortReference(corr, options, &want_stats);
+  KnnScratch scratch;
+  Graph graph;
+  KnnGraphStats got_stats;
+  BuildKnnGraphInto(corr, options, &scratch, &graph, &got_stats);
+  ExpectSameGraph(graph, want);
+  EXPECT_EQ(got_stats.candidate_pairs, want_stats.candidate_pairs);
+  EXPECT_EQ(got_stats.kept_edges, want_stats.kept_edges);
+}
 
 }  // namespace
 }  // namespace cad::graph

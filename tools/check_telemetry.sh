@@ -94,8 +94,8 @@ if [[ ! -x "$ENGINE_BENCH" ]]; then
   exit 1
 fi
 FLIGHT="$OUT_DIR/flight.jsonl"
-"$ENGINE_BENCH" --smoke --flight-out "$FLIGHT" > "$OUT_DIR/bench.json" \
-  2> /dev/null
+"$ENGINE_BENCH" --smoke --out "$OUT_DIR/bench.json" --flight-out "$FLIGHT" \
+  > /dev/null 2> /dev/null
 [[ -s "$FLIGHT" ]] || { echo "FAIL: $FLIGHT missing or empty" >&2; exit 1; }
 
 python3 - "$FLIGHT" <<'EOF'
