@@ -19,7 +19,10 @@
 //
 // The JSON also records the build it measured (compiler, build type, flags)
 // and the correlation tile kernel this host runs: the round's cost depends on
-// all four.
+// all four. Each driver's `stages` block splits its rounds by stage: the mean
+// time per round of correlation, kNN, Louvain and co-appearance, from the
+// cad_*_seconds histograms of the run's private registry, as the difference
+// between a snapshot taken after warm-up and one taken after the last round.
 //
 // Flags:
 //   --smoke             small configuration for ctest (a few seconds)
@@ -97,6 +100,48 @@ double SampleQuantile(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
+// Mean seconds per round of each stage over the rounds between two snapshots
+// of one registry; `rounds` counts them.
+struct StageMeans {
+  int64_t rounds = 0;
+  double correlation_seconds = 0.0;
+  double knn_seconds = 0.0;
+  double louvain_seconds = 0.0;
+  double coappearance_seconds = 0.0;
+};
+
+// What histogram `name` observed between the two snapshots.
+struct HistogramDelta {
+  uint64_t count = 0;
+  double sum = 0.0;
+
+  double mean() const {
+    return count > 0 ? sum / static_cast<double>(count) : 0.0;
+  }
+};
+
+HistogramDelta Delta(const obs::Snapshot& before, const obs::Snapshot& after,
+                     const char* name) {
+  const obs::HistogramSample* first = before.FindHistogram(name);
+  const obs::HistogramSample* last = after.FindHistogram(name);
+  if (last == nullptr) return {};
+  if (first == nullptr) return {last->count(), last->sum};
+  return {last->count() - first->count(), last->sum - first->sum};
+}
+
+StageMeans StageDelta(const obs::Snapshot& before, const obs::Snapshot& after) {
+  const HistogramDelta correlation =
+      Delta(before, after, "cad_correlation_seconds");
+  StageMeans means;
+  means.rounds = static_cast<int64_t>(correlation.count);
+  means.correlation_seconds = correlation.mean();
+  means.knn_seconds = Delta(before, after, "cad_knn_build_seconds").mean();
+  means.louvain_seconds = Delta(before, after, "cad_louvain_seconds").mean();
+  means.coappearance_seconds =
+      Delta(before, after, "cad_coappearance_seconds").mean();
+  return means;
+}
+
 struct DriverResult {
   int rounds = 0;
   double rounds_per_sec = 0.0;
@@ -116,6 +161,10 @@ struct DriverResult {
   // Last value of the engine's cad_round_allocs gauge; -1 if unregistered.
   double round_allocs_gauge = -1.0;
   double total_seconds = 0.0;
+  // Batch: the bare engine's rounds below (CadDetector's Detect warms up
+  // inside the call, so no snapshot separates warm-up from detection there);
+  // stream: the timed Push loop.
+  StageMeans stages;
 };
 
 void FillLatency(DriverResult* result, std::vector<double> seconds) {
@@ -141,11 +190,12 @@ double GaugeValue(const obs::Snapshot& snapshot, const char* name) {
 // the batch driver pushes, so everything CadDetector adds around the rounds
 // (latency vectors, traces, report assembly) stays outside the measurement.
 // Warm-up rounds and anomaly open/close transitions are excluded — those
-// allocate by design (capacity growth, anomaly records).
-double ScopedEngineAllocsPerRound(const EngineBenchConfig& config,
-                                  const ts::MultivariateSeries& train,
-                                  const ts::MultivariateSeries& test) {
-  if (!common::AllocHookInstalled()) return -1.0;
+// allocate by design (capacity growth, anomaly records). The same rounds
+// give the batch driver's stage means (`stages`).
+void RunScopedEngine(const EngineBenchConfig& config,
+                     const ts::MultivariateSeries& train,
+                     const ts::MultivariateSeries& test,
+                     DriverResult* result) {
   obs::Registry registry;
   core::DetectionEngine engine(
       test.n_sensors(), MakeOptions(config, &registry, kDefaultFlightCapacity));
@@ -153,6 +203,7 @@ double ScopedEngineAllocsPerRound(const EngineBenchConfig& config,
     std::fprintf(stderr, "engine_bench: engine warm-up failed\n");
     std::exit(1);
   }
+  const obs::Snapshot warm = registry.TakeSnapshot();
   std::vector<double> sample(test.n_sensors());
   int64_t steady_allocs = 0;
   int steady_rounds = 0;
@@ -170,9 +221,11 @@ double ScopedEngineAllocsPerRound(const EngineBenchConfig& config,
       ++steady_rounds;
     }
   }
-  if (steady_rounds == 0) return -1.0;
-  return static_cast<double>(steady_allocs) /
-         static_cast<double>(steady_rounds);
+  result->stages = StageDelta(warm, registry.TakeSnapshot());
+  if (common::AllocHookInstalled() && steady_rounds > 0) {
+    result->allocs_per_round = static_cast<double>(steady_allocs) /
+                               static_cast<double>(steady_rounds);
+  }
 }
 
 DriverResult RunBatch(const EngineBenchConfig& config,
@@ -205,7 +258,7 @@ DriverResult RunBatch(const EngineBenchConfig& config,
         static_cast<double>(allocs_after - allocs_before) /
         static_cast<double>(result.rounds);
   }
-  result.allocs_per_round = ScopedEngineAllocsPerRound(config, train, test);
+  RunScopedEngine(config, train, test, &result);
   result.round_allocs_gauge = GaugeValue(report.telemetry, "cad_round_allocs");
   return result;
 }
@@ -222,6 +275,7 @@ DriverResult RunStreaming(const EngineBenchConfig& config,
     std::fprintf(stderr, "engine_bench: streaming warm-up failed\n");
     std::exit(1);
   }
+  const obs::Snapshot warm = registry.TakeSnapshot();
 
   std::vector<double> sample(test.n_sensors());
   std::vector<double> round_seconds;
@@ -258,6 +312,7 @@ DriverResult RunStreaming(const EngineBenchConfig& config,
 
   DriverResult result;
   result.total_seconds = watch.ElapsedSeconds();
+  result.stages = StageDelta(warm, registry.TakeSnapshot());
   FillLatency(&result, std::move(round_seconds));
   if (common::AllocHookInstalled() && steady_rounds > 0) {
     result.allocs_per_round = static_cast<double>(steady_allocs) /
@@ -294,13 +349,26 @@ void PrintDriverJson(std::FILE* out, const char* name,
                "    \"allocs_per_round\": %.3f,\n"
                "    \"detect_call_allocs_per_round\": %.3f,\n"
                "    \"round_allocs_gauge\": %.1f,\n"
-               "    \"total_seconds\": %.6f\n"
+               "    \"total_seconds\": %.6f,\n"
+               "    \"stages\": {\n"
+               "      \"rounds\": %lld,\n"
+               "      \"correlation_us\": %.3f,\n"
+               "      \"knn_us\": %.3f,\n"
+               "      \"louvain_us\": %.3f,\n"
+               "      \"coappearance_us\": %.3f\n"
+               "    }\n"
                "  }%s\n",
                name, result.rounds, result.rounds_per_sec,
                result.p50_round_seconds, result.p95_round_seconds,
                result.p99_round_seconds, result.allocs_per_round,
                result.detect_call_allocs_per_round, result.round_allocs_gauge,
-               result.total_seconds, trailing_comma ? "," : "");
+               result.total_seconds,
+               static_cast<long long>(result.stages.rounds),
+               result.stages.correlation_seconds * 1e6,
+               result.stages.knn_seconds * 1e6,
+               result.stages.louvain_seconds * 1e6,
+               result.stages.coappearance_seconds * 1e6,
+               trailing_comma ? "," : "");
 }
 
 int Main(int argc, char** argv) {

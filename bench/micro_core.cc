@@ -41,12 +41,14 @@ ts::MultivariateSeries MakeSeries(int n_sensors, int length,
 constexpr int kWindow = 64;
 
 // The perfbench workload shapes: sensors, window, k, communities — IS-5
-// (is5_stream), IS-3 (is3_batch) and one fleet_iot tenant.
+// (is5_stream), IS-3 (is3_batch) and one fleet_iot tenant — and engine_bench's
+// default config, a mid-size shape with a small k.
 void WorkloadShapes(benchmark::internal::Benchmark* bench) {
   bench->ArgNames({"sensors", "w", "k", "communities"});
   bench->Args({1266, 73, 50, 20});
   bench->Args({406, 86, 30, 12});
   bench->Args({8, 32, 3, 2});
+  bench->Args({48, 120, 5, 4});
 }
 
 // Both kernels run through their Into forms with scratch reused across
@@ -122,7 +124,8 @@ void BM_Louvain(benchmark::State& state) {
 BENCHMARK(BM_Louvain)->Arg(26)->Arg(128)->Arg(512)->Complexity();
 
 // Louvain on the TSG of each workload shape, through its Into form with the
-// workspace reused, as in the engine's rounds.
+// workspace reused, as in the engine's rounds. Each row reports the size of
+// its input and result: the TSG's edges and the communities found.
 void BM_LouvainWorkload(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int w = static_cast<int>(state.range(1));
@@ -139,6 +142,8 @@ void BM_LouvainWorkload(benchmark::State& state) {
     graph::LouvainInto(tsg, {}, &workspace, &partition);
     benchmark::DoNotOptimize(partition);
   }
+  state.counters["tsg_edges"] = static_cast<double>(tsg.n_edges());
+  state.counters["communities"] = partition.n_communities;
 }
 BENCHMARK(BM_LouvainWorkload)->Apply(WorkloadShapes);
 

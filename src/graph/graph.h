@@ -43,12 +43,12 @@ class Graph {
   int64_t n_edges() const { return n_edges_; }
 
   // Adds an undirected edge; u != v, both in range. Duplicate edges are the
-  // caller's responsibility (Louvain's aggregation never produces them).
+  // caller's responsibility. The round path fills its graphs with
+  // AssignAdjacency instead.
   void AddEdge(int u, int v, double weight) {
     CAD_CHECK(u != v, "self-loop");
     CAD_CHECK(u >= 0 && u < n_vertices() && v >= 0 && v < n_vertices(),
               "edge endpoint out of range");
-    // cad-lint: allow(CL007) adjacency capacity is retained across Reset(); steady-state rebuilds push into reserved storage (engine_alloc_test)
     adjacency_[u].push_back({v, weight});
     adjacency_[v].push_back({u, weight});
     ++n_edges_;
@@ -111,21 +111,27 @@ class Graph {
   // deterministic serialization). The Into form reuses `edges`' capacity.
   // Edges come out already sorted when each vertex's larger neighbours sit
   // in ascending order, as in the kNN builder's lists and Louvain's
-  // aggregated graphs; the sort runs only when they do not.
+  // aggregated graphs; the emission checks that as it goes, and the sort
+  // runs only when they do not.
   void SortedEdgesInto(std::vector<Edge>* edges) const {
     edges->clear();
     // cad-lint: allow(CL007) reserve into retained capacity: the caller's workspace vector keeps its storage across rounds
     edges->reserve(static_cast<size_t>(n_edges_));
+    bool sorted = true;
     for (int u = 0; u < n_vertices(); ++u) {
+      int previous = u;
       for (const Neighbor& nb : adjacency_[u]) {
-        if (u < nb.vertex) edges->push_back({u, nb.vertex, nb.weight});
+        if (u < nb.vertex) {
+          sorted &= previous <= nb.vertex;
+          previous = nb.vertex;
+          edges->push_back({u, nb.vertex, nb.weight});
+        }
       }
     }
-    const auto before = [](const Edge& a, const Edge& b) {
-      return a.u != b.u ? a.u < b.u : a.v < b.v;
-    };
-    if (!std::is_sorted(edges->begin(), edges->end(), before)) {
-      std::sort(edges->begin(), edges->end(), before);
+    if (!sorted) {
+      std::sort(edges->begin(), edges->end(), [](const Edge& a, const Edge& b) {
+        return a.u != b.u ? a.u < b.u : a.v < b.v;
+      });
     }
   }
 
@@ -146,6 +152,14 @@ class Graph {
   std::vector<std::vector<Neighbor>> adjacency_;
   int64_t n_edges_ = 0;
 };
+
+// Makes `buffer` hold at least `size` elements, keeping the ones it holds.
+// A buffer only grows, to a power of two, so its size stays its capacity and
+// a peak that rises a little every round costs few allocations.
+template <typename T>
+void EnsureSize(std::vector<T>* buffer, size_t size) {
+  if (size > buffer->size()) buffer->resize(std::bit_ceil(size));
+}
 
 }  // namespace cad::graph
 

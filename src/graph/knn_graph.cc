@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -38,14 +37,6 @@ inline size_t Bucket(double strength, double tau, double scale) {
   const double bucket = (strength - tau) * scale;
   if (bucket >= kTopBucket) return kBuckets - 1;
   return bucket >= 0.0 ? static_cast<size_t>(bucket) : 0;
-}
-
-// Makes `buffer` hold at least `size` elements, keeping the ones it holds.
-// A buffer only grows, to a power of two, so its size stays its capacity
-// and a peak that rises a little every round costs few allocations.
-template <typename T>
-void EnsureSize(std::vector<T>* buffer, size_t size) {
-  if (size > buffer->size()) buffer->resize(std::bit_ceil(size));
 }
 
 }  // namespace

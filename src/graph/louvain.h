@@ -9,6 +9,16 @@
 // Correlation edges may be negative; community detection runs on |weight|
 // because a strong anti-correlation is still a strong structural tie between
 // two sensors of the same machine.
+//
+// Work done once per graph: the input's sorted edges, weighted degrees and
+// total weight are computed once and read by every level's modularity gate
+// and by level 0's local moving and aggregation; each aggregated level sums
+// its own degrees once. Every floating-point sum keeps its operands and
+// their order — a degree adds |w| in adjacency order, the total weight adds
+// the degrees in vertex order, the intra-community and per-pair masses add
+// in sorted-edge order — because a reordered sum can round differently, and
+// one changed bit can flip a tie between two communities' gains and with it
+// the partition, the outliers and the verdict.
 #ifndef CAD_GRAPH_LOUVAIN_H_
 #define CAD_GRAPH_LOUVAIN_H_
 
@@ -56,8 +66,10 @@ struct LouvainWorkspace {
     double weight = 0.0;
   };
 
-  std::vector<Edge> level_edges;  // SortedEdgesInto of the current level
+  std::vector<Edge> level_edges;  // SortedEdgesInto of an aggregated level
   std::vector<Edge> mod_edges;    // SortedEdgesInto of the original graph
+  std::vector<double> degree;        // weighted degrees of the original graph
+  std::vector<double> level_degree;  // and of the aggregated level
   std::vector<double> vertex_weight;
   std::vector<double> community_total;
   std::vector<double> weight_to_community;
@@ -70,6 +82,10 @@ struct LouvainWorkspace {
   std::vector<double> next_self;
   std::vector<double> community_degree;  // Modularity label-order accumulator
   std::vector<AggEntry> agg;
+  // The aggregated graph's lists: list x is
+  // agg_lists[agg_offsets[x], agg_offsets[x + 1]). Both only grow.
+  std::vector<int> agg_offsets;
+  std::vector<Graph::Neighbor> agg_lists;
   Graph level_graph;
   Graph next_graph;
 };

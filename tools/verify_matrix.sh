@@ -23,10 +23,10 @@
 #                   bit-for-bit reference tests of the correlation and kNN
 #                   kernels (every tile kernel the host runs; their
 #                   n_threads = 3 cases are the TSan coverage, and ASan
-#                   catches a block reading past the padding), under the
-#                   asan-ubsan and tsan presets: byte-identical drivers must
-#                   stay identical when the sanitizers perturb layout and
-#                   scheduling.
+#                   catches a block reading past the padding) and of Louvain,
+#                   under the asan-ubsan and tsan presets: byte-identical
+#                   drivers must stay identical when the sanitizers perturb
+#                   layout and scheduling.
 #   8. obs        — exposition-server smoke under the tsan preset: start,
 #                   scrape /metrics, /healthz and /explain, and the
 #                   concurrent-scrape-while-ingesting hammering, plus the
@@ -63,9 +63,9 @@
 #                   the contract there).
 #  14. native     — a Release build with -march=native (FMA and the host's
 #                   widest vectors in every translation unit) running the
-#                   correlation and kNN reference suites and the engine
-#                   equivalence gate: the correlation cells must keep their
-#                   bits under any target flags, which fails if
+#                   correlation, kNN and Louvain reference suites and the
+#                   engine equivalence gate: the correlation cells must keep
+#                   their bits under any target flags, which fails if
 #                   -ffp-contract=off stops reaching the kernels or the
 #                   reference loops.
 #  15. perfbench  — the repository benchmark (perfbench/run.py) in its
@@ -131,7 +131,7 @@ run_engine_under() {
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$JOBS"
   ctest --preset "$preset" \
-    -R 'EngineEquivalenceTest|EngineAllocTest|EngineAllocSweepTest|SampleWindowTest|CorrelationKernelReferenceTest|CorrelationKernelBoundsTest|CorrelationKernelPickTest|CorrelationMatrixLayoutTest|CorrelationMatrixTest|KnnReferenceTest' \
+    -R 'EngineEquivalenceTest|EngineAllocTest|EngineAllocSweepTest|SampleWindowTest|CorrelationKernelReferenceTest|CorrelationKernelBoundsTest|CorrelationKernelPickTest|CorrelationMatrixLayoutTest|CorrelationMatrixTest|KnnReferenceTest|LouvainReferenceTest' \
     --output-on-failure
 }
 
@@ -259,7 +259,7 @@ for stage in "${STAGES[@]}"; do
       cmake --build --preset native -j "$JOBS" \
         --target stats_test graph_test engine_test
       ctest --preset native \
-        -R 'CorrelationKernelReferenceTest|CorrelationKernelBoundsTest|CorrelationKernelPickTest|CorrelationMatrixLayoutTest|CorrelationMatrixTest|KnnReferenceTest|EngineEquivalenceTest' \
+        -R 'CorrelationKernelReferenceTest|CorrelationKernelBoundsTest|CorrelationKernelPickTest|CorrelationMatrixLayoutTest|CorrelationMatrixTest|KnnReferenceTest|LouvainReferenceTest|EngineEquivalenceTest' \
         --output-on-failure
       ;;
     perfbench)
