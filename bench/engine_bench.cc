@@ -199,7 +199,8 @@ void RunScopedEngine(const EngineBenchConfig& config,
   obs::Registry registry;
   core::DetectionEngine engine(
       test.n_sensors(), MakeOptions(config, &registry, kDefaultFlightCapacity));
-  if (!engine.WarmUp(train).ok()) {
+  core::RoundWorkspace workspace;
+  if (!engine.WarmUp(train, workspace).ok()) {
     std::fprintf(stderr, "engine_bench: engine warm-up failed\n");
     std::exit(1);
   }
@@ -211,7 +212,8 @@ void RunScopedEngine(const EngineBenchConfig& config,
   for (int t = 0; t < test.length(); ++t) {
     for (int i = 0; i < test.n_sensors(); ++i) sample[i] = test.value(i, t);
     const int64_t allocs_before = common::ThreadAllocCount();
-    const std::optional<core::EngineRound> round = engine.Push(sample);
+    const std::optional<core::EngineRound> round =
+        engine.Push(sample, workspace);
     const int64_t allocs_after = common::ThreadAllocCount();
     if (!round.has_value()) continue;
     const bool transition = round->abnormal || prev_abnormal;

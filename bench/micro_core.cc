@@ -156,9 +156,10 @@ void BM_OutlierDetectionRound(benchmark::State& state) {
   options.k = 10;
   options.tau = 0.5;
   core::RoundProcessor processor(n, options);
+  core::RoundWorkspace workspace;
   int start = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(processor.ProcessWindow(series, start));
+    benchmark::DoNotOptimize(processor.ProcessWindow(series, start, workspace));
     start = (start + options.step) % 4096;
   }
   state.SetComplexityN(n);

@@ -71,12 +71,14 @@ Result<DetectionReport> CadDetector::Detect(
   obs::Registry& registry = obs::ResolveRegistry(options_.metrics_registry);
 
   DetectionEngine engine(n, options_);
+  // One scratch arena for the warm-up and the detection rounds.
+  RoundWorkspace workspace;
 
   // --- Warm-up (Algorithm 2, WarmUp): outlier detection only, no anomaly
   // decisions; every n_r seeds mu and sigma.
   if (historical != nullptr) {
     ScopedTimer warmup_timer(&report.warmup_seconds);
-    CAD_RETURN_NOT_OK(engine.WarmUp(*historical));
+    CAD_RETURN_NOT_OK(engine.WarmUp(*historical, workspace));
   }
 
   // --- Detection (Algorithm 2, main loop). Engine state starts with
@@ -99,7 +101,7 @@ Result<DetectionReport> CadDetector::Detect(
     for (int t = 0; t < series.length(); ++t) {
       for (int i = 0; i < n; ++i) sample[i] = series.value(i, t);
       Stopwatch round_watch;
-      const std::optional<EngineRound> round = engine.Push(sample);
+      const std::optional<EngineRound> round = engine.Push(sample, workspace);
       if (!round.has_value()) continue;
 
       RoundTrace trace;

@@ -108,7 +108,6 @@ DetectionEngine::DetectionEngine(int n_sensors, const CadOptions& options)
       metrics_(obs::PipelineMetrics::For(
           obs::ResolveRegistry(options.metrics_registry))),
       samples_(n_sensors, options.window, options.step),
-      window_(n_sensors, options.window),
       processor_(n_sensors, options),
       policy_(options),
       assembler_(n_sensors, options, metrics_),
@@ -126,7 +125,8 @@ Status DetectionEngine::ValidateStream(int n_sensors,
   return options.Validate(options.window);
 }
 
-Status DetectionEngine::WarmUp(const ts::MultivariateSeries& historical) {
+Status DetectionEngine::WarmUp(const ts::MultivariateSeries& historical,
+                               RoundWorkspace& workspace) {
   if (samples_.samples_seen() > 0) {
     return Status::FailedPrecondition("WarmUp must precede the first Push");
   }
@@ -147,7 +147,8 @@ Status DetectionEngine::WarmUp(const ts::MultivariateSeries& historical) {
   for (int t = 0; t < historical.length(); ++t) {
     for (int i = 0; i < n_sensors_; ++i) sample[i] = historical.value(i, t);
     if (!Ingest(sample)) continue;
-    const RoundOutput& out = ProcessRound(&processor, nullptr);
+    const RoundOutput& out = processor.ProcessWindow(
+        samples_.ring(), samples_.window_column(), workspace);
     // Cold-start rounds are artifacts of the empty outlier state, not data.
     if (round++ >= burn_in) policy_.Seed(out.n_variations);
   }
@@ -166,20 +167,14 @@ bool DetectionEngine::Ingest(std::span<const double> sample)
   return samples_.Append(sample);
 }
 
-const RoundOutput& DetectionEngine::ProcessRound(RoundProcessor* processor,
-                                                 RoundWorkspace* workspace)
-    CAD_REALTIME_AUDITED {
-  samples_.MaterializeInto(&window_);
-  return processor->ProcessWindow(window_, 0, workspace);
-}
-
 std::optional<EngineRound> DetectionEngine::Push(
-    std::span<const double> sample, RoundWorkspace* workspace)
+    std::span<const double> sample, RoundWorkspace& workspace)
     CAD_REALTIME_AUDITED {
   if (!Ingest(sample)) return std::nullopt;
   const int64_t allocs_before = common::ThreadAllocCount();
 
-  const RoundOutput& out = ProcessRound(&processor_, workspace);
+  const RoundOutput& out = processor_.ProcessWindow(
+      samples_.ring(), samples_.window_column(), workspace);
 
   EngineRound result;
   result.round = round_index_;

@@ -3,10 +3,10 @@
 // The engine consumes samples: CadDetector (batch), StreamingCad (online)
 // and fleet tenants are thin drivers that Push one time point at a time.
 // Everything between a sample and a verdict lives here exactly once — the
-// SampleWindow that decides when a round closes and where its window sits,
-// the round (Algorithm 1 via RoundProcessor), the eta-sigma decision, the
-// mu/sigma update and anomaly assembly — so the same samples give the same
-// rounds in every driver.
+// SampleWindow that decides when a round closes and holds its window, the
+// round (Algorithm 1 via RoundProcessor, on the driver's workspace), the
+// eta-sigma decision, the mu/sigma update and anomaly assembly — so the same
+// samples give the same rounds in every driver.
 // DESIGN.md "Engine architecture" shows how to add a driver.
 //
 // The engine is not synchronized; drivers that need thread safety wrap it
@@ -166,20 +166,21 @@ class DetectionEngine {
 
   // Algorithm 2's WarmUp, before the first Push: seeds mu/sigma from the
   // rounds of `historical`, pushed through the engine's own window on a
-  // throwaway round processor. Detection then restarts at time 0 with an
-  // empty window and O_0 = empty (line 2 of the pseudo-code).
-  [[nodiscard]] Status WarmUp(const ts::MultivariateSeries& historical);
+  // throwaway round processor that runs on the driver's `workspace`.
+  // Detection then restarts at time 0 with an empty window and O_0 = empty
+  // (line 2 of the pseudo-code).
+  [[nodiscard]] Status WarmUp(const ts::MultivariateSeries& historical,
+                              RoundWorkspace& workspace);
 
   // Ingests one time point (`sample.size()` == n_sensors). When it closes a
   // round, runs the round through decision and anomaly assembly and returns
   // it; nullopt otherwise.
   //
-  // `workspace` optionally supplies the round's scratch arena (per-round
-  // only, no cross-round state — see RoundWorkspace): the fleet's shared
-  // worker pool passes pooled arenas so tenant engines stay workspace-less;
-  // single-tenant drivers omit it and the processor lazily owns one.
+  // `workspace` is the round's scratch arena (per-round only, no cross-round
+  // state — see RoundWorkspace): single-tenant drivers pass their own, the
+  // fleet's shared worker pool passes pooled arenas.
   std::optional<EngineRound> Push(std::span<const double> sample,
-                                  RoundWorkspace* workspace = nullptr)
+                                  RoundWorkspace& workspace)
       CAD_REALTIME_AUDITED;
 
   // Closes any anomaly still open after the last round (and, like a normal
@@ -213,10 +214,6 @@ class DetectionEngine {
  private:
   // Feeds one sample to the window; true when it closes a round.
   bool Ingest(std::span<const double> sample) CAD_REALTIME_AUDITED;
-  // Runs Algorithm 1 on `processor` over the current window.
-  const RoundOutput& ProcessRound(RoundProcessor* processor,
-                                  RoundWorkspace* workspace)
-      CAD_REALTIME_AUDITED;
 
   // Appends the rounds of anomalies_[first_new..] to flight_log_path.
   void DumpClosedAnomalies(size_t first_new);
@@ -224,8 +221,7 @@ class DetectionEngine {
   int n_sensors_;
   CadOptions options_;
   obs::PipelineMetrics metrics_;
-  SampleWindow samples_;           // ring + round cadence + time axis
-  ts::MultivariateSeries window_;  // the ring, materialized per round
+  SampleWindow samples_;  // ring + round cadence + time axis
   RoundProcessor processor_;
   DecisionPolicy policy_;
   AnomalyAssembler assembler_;

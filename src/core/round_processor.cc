@@ -54,20 +54,10 @@ void PluralitySuccessors(const std::vector<int>& prev_community,
 
 }  // namespace
 
-RoundWorkspace* RoundProcessor::ResolveWorkspace(RoundWorkspace* workspace) {
-  if (workspace != nullptr) return workspace;
-  if (owned_workspace_ == nullptr) {
-    // cad-lint: allow(CL007) one-time lazy construction on the first externally-workspace-less round; pooled callers never reach this branch
-    owned_workspace_ = std::make_unique<RoundWorkspace>();
-  }
-  return owned_workspace_.get();
-}
-
 const RoundOutput& RoundProcessor::ProcessWindow(
     const ts::MultivariateSeries& series, int start,
-    RoundWorkspace* workspace) CAD_REALTIME_AUDITED {
+    RoundWorkspace& ws) CAD_REALTIME_AUDITED {
   CAD_CHECK(series.n_sensors() == n_sensors_, "sensor count mismatch");
-  RoundWorkspace& ws = *ResolveWorkspace(workspace);
   RoundOutput& out = out_;
   out.Clear();  // cleared before the stage timers start accumulating
   obs::Span round_span(tracer_, span_name_);

@@ -7,7 +7,6 @@
 #define CAD_CORE_ROUND_PROCESSOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,11 +71,12 @@ struct RoundOutput {
 //
 // A workspace is *per-round scratch*, not cross-round state: every member is
 // rebuilt from scratch by the round that uses it, so one workspace may serve
-// many processors in turn. fleet::WorkspacePool exploits exactly this — N
-// tenant engines share ~n_workers workspaces per sensor-count bucket instead
-// of owning one each, and the capacities converge to the bucket's high-water
-// problem size after the warm phase (tests/fleet/fleet_engine_test.cc
-// extends the allocation proof to the pooled path).
+// many processors in turn, and the drivers own them: CadDetector::Detect one
+// for warm-up and detection, StreamingCad one, and fleet::WorkspacePool lets
+// N tenant engines share ~n_workers workspaces per sensor-count bucket; the
+// capacities converge to the bucket's high-water problem size after the
+// warm phase (tests/fleet/fleet_engine_test.cc extends the allocation proof
+// to the pooled path).
 struct RoundWorkspace {
   stats::CorrelationMatrix correlation;
   stats::CorrelationScratch correlation_scratch;
@@ -112,21 +112,17 @@ class RoundProcessor {
   // order. The returned reference points at the processor's reused output
   // and stays valid until the next round.
   //
-  // `workspace` selects the scratch arena for this round: nullptr uses the
-  // processor's own lazily-created workspace (the single-tenant drivers);
-  // fleet workers pass a pooled arena instead, so thousands of tenant
-  // processors never own one each. The workspace carries no cross-round
-  // state — see the RoundWorkspace comment above.
+  // `workspace` is the round's scratch arena, owned by the caller (see the
+  // RoundWorkspace comment above).
   const RoundOutput& ProcessWindow(const ts::MultivariateSeries& series,
-                                   int start,
-                                   RoundWorkspace* workspace = nullptr)
+                                   int start, RoundWorkspace& workspace)
       CAD_REALTIME_AUDITED;
 
   // Clears all cross-round state (communities, RC history, outlier set).
   void Reset();
 
   // Name of the per-round span emitted when tracing is enabled ("round" by
-  // default). CadDetector names its warm-up processor's spans "warmup_round"
+  // default). The engine's WarmUp names its processor's spans "warmup_round"
   // so detection round-span counts match DetectionReport::rounds.size().
   void set_span_name(std::string name) { span_name_ = std::move(name); }
 
@@ -135,19 +131,12 @@ class RoundProcessor {
   const CoAppearanceTracker& tracker() const { return tracker_; }
 
  private:
-  // The round's arena: the caller-supplied one, else the lazily-created
-  // owned workspace (kept out of the constructor so pooled-only processors
-  // never pay for a private arena).
-  RoundWorkspace* ResolveWorkspace(RoundWorkspace* workspace);
-
   int n_sensors_;
   CadOptions options_;
   CoAppearanceTracker tracker_;
   std::vector<int> prev_community_;  // empty before the first round
   std::vector<uint8_t> outlier_flags_;  // membership of O_{r-1}
   std::vector<int> last_moved_round_;   // -1 = never moved (Definition 2)
-  // Lazily created on the first round that does not bring its own workspace.
-  std::unique_ptr<RoundWorkspace> owned_workspace_;
   RoundOutput out_;  // reused across rounds; returned by const reference
   int rounds_processed_ = 0;
   obs::PipelineMetrics metrics_;

@@ -139,7 +139,7 @@ std::string StreamingCad::ExplainJson(int round) const {
 Status StreamingCad::WarmUp(const ts::MultivariateSeries& historical) {
   CAD_RETURN_NOT_OK(config_);
   common::MutexLock lock(mu_);
-  return engine_.WarmUp(historical);
+  return engine_.WarmUp(historical, workspace_);
 }
 
 Result<bool> StreamingCad::Push(std::span<const double> readings,
@@ -153,7 +153,7 @@ Result<bool> StreamingCad::Push(std::span<const double> readings,
   }
   common::MutexLock lock(mu_);
   Stopwatch round_watch;
-  const std::optional<EngineRound> round = engine_.Push(readings);
+  const std::optional<EngineRound> round = engine_.Push(readings, workspace_);
   metrics_.stream_samples_total->Increment();
   if (!round.has_value()) return false;
 

@@ -41,9 +41,9 @@ struct StreamEvent {
   std::vector<int> entered_movers;
   double mu = 0.0;            // statistics used for the decision
   double sigma = 0.0;
-  // Wall-clock latency of the Push that closed this round (ingest, window
-  // materialization, Algorithm 1 and decision) — the per-round TPR sample
-  // of Table VII, live.
+  // Wall-clock latency of the Push that closed this round (ingest,
+  // Algorithm 1 and decision) — the per-round TPR sample of Table VII,
+  // live.
   double round_seconds = 0.0;
 };
 
@@ -178,6 +178,8 @@ class StreamingCad {
   // decision, mu/sigma, anomaly assembly (engine.h). This driver is a thin
   // locked facade over its Push, as each fleet tenant is.
   DetectionEngine engine_ GUARDED_BY(mu_);
+  // The scratch arena of every warm-up and detection round.
+  RoundWorkspace workspace_ GUARDED_BY(mu_);
 
   // Declared last so it is destroyed first: the destructor joins the server
   // thread, whose handlers lock mu_ and read the guarded state above — both

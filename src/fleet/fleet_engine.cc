@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -79,8 +80,12 @@ Result<int> FleetEngine::AddTenant(const std::string& name, int n_sensors,
   if (tenant_index_.count(name) > 0) {
     return Status::InvalidArgument("duplicate tenant name '" + name + "'");
   }
-  if (!(weight > 0.0)) {
-    return Status::InvalidArgument("tenant weight must be positive");
+  CAD_RETURN_NOT_OK(options_.Validate());  // they size the tenant's queue
+  // The scheduler advances virtual time by the stride 1 / weight, so it must
+  // be finite and positive (weight +inf gives 0, a denormal gives +inf).
+  if (!(1.0 / weight > 0.0 && std::isfinite(1.0 / weight))) {
+    return Status::InvalidArgument(
+        "tenant weight must be positive, with a finite stride 1 / weight");
   }
   CAD_RETURN_NOT_OK(core::DetectionEngine::ValidateStream(n_sensors,
                                                           cad_options));
@@ -213,7 +218,7 @@ bool FleetEngine::ServiceOne(std::vector<double>* staging) {
       const std::span<const double> sample(
           staging->data(), static_cast<size_t>(tenant.n_sensors));
       Stopwatch round_watch;
-      if (!tenant.cad_engine.Push(sample, &arena->workspace)) continue;
+      if (!tenant.cad_engine.Push(sample, arena->workspace)) continue;
       metrics_.round_seconds->Observe(round_watch.ElapsedSeconds());
       ++rounds_run;
       ++tenant.rounds_serviced;

@@ -117,8 +117,9 @@ class FleetEngine {
   // Registers a tenant stream before the fleet is sealed (first Push or
   // Start). `name` becomes the Prometheus {tenant="..."} label value and the
   // /explain routing key: [a-z0-9_] first, then [a-z0-9_.-], at most 120
-  // chars, unique. `weight` > 0 sets its scheduler share. Returns the tenant
-  // index used by Push.
+  // chars, unique. `weight` > 0 sets its scheduler share; 1 / weight must be
+  // finite and positive. The fleet's options must be valid (FleetOptions::
+  // Validate). Returns the tenant index used by Push.
   [[nodiscard]] Result<int> AddTenant(const std::string& name, int n_sensors,
                                       const core::CadOptions& cad_options,
                                       double weight = 1.0);

@@ -53,7 +53,7 @@ struct FleetMetrics {
     m.round_seconds = &registry.histogram(
         "cad_fleet_round_seconds", {},
         "latency of one tenant detection round on the shared worker pool "
-        "(queue pop + window materialization + engine step)");
+        "(the engine Push that closed it: ring write + round)");
     return m;
   }
 };

@@ -26,20 +26,19 @@ struct Edge {
 class Graph {
  public:
   Graph() = default;
-  explicit Graph(int n_vertices) : adjacency_(n_vertices) {}
+  explicit Graph(int n_vertices)
+      : adjacency_(n_vertices), n_vertices_(n_vertices) {}
 
-  // Re-shapes to `n_vertices` isolated vertices. Inner adjacency capacity is
-  // retained, so a graph rebuilt every round stops allocating once it has
+  // Re-shapes to `n_vertices` isolated vertices. Every list keeps its
+  // capacity, so a graph rebuilt every round stops allocating once it has
   // seen its peak per-vertex degree.
   void Reset(int n_vertices) {
-    if (static_cast<int>(adjacency_.size()) != n_vertices) {
-      adjacency_.resize(n_vertices);
-    }
-    for (auto& adjacency : adjacency_) adjacency.clear();
+    Reshape(static_cast<size_t>(n_vertices));
+    for (int u = 0; u < n_vertices; ++u) adjacency_[u].clear();
     n_edges_ = 0;
   }
 
-  int n_vertices() const { return static_cast<int>(adjacency_.size()); }
+  int n_vertices() const { return n_vertices_; }
   int64_t n_edges() const { return n_edges_; }
 
   // Adds an undirected edge; u != v, both in range. Duplicate edges are the
@@ -72,7 +71,7 @@ class Graph {
   void AssignAdjacency(std::span<const int> offsets,
                        std::span<const Neighbor> neighbors) {
     const size_t n = offsets.empty() ? 0 : offsets.size() - 1;
-    if (adjacency_.size() != n) adjacency_.resize(n);
+    Reshape(n);
     for (size_t u = 0; u < n; ++u) {
       const std::span<const Neighbor> list = neighbors.subspan(
           static_cast<size_t>(offsets[u]),
@@ -149,7 +148,15 @@ class Graph {
   }
 
  private:
+  void Reshape(size_t n_vertices) {
+    if (adjacency_.size() < n_vertices) adjacency_.resize(n_vertices);
+    n_vertices_ = static_cast<int>(n_vertices);
+  }
+
+  // Only grows: the lists past n_vertices_ keep their capacity for a later,
+  // larger graph (Louvain's level graphs shrink and grow back every round).
   std::vector<std::vector<Neighbor>> adjacency_;
+  int n_vertices_ = 0;
   int64_t n_edges_ = 0;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "testing/synthetic.h"
 
@@ -38,7 +40,8 @@ CadOptions SmallOptions() {
 TEST(RoundProcessorTest, FirstRoundHasNoOutliersOrVariations) {
   const ts::MultivariateSeries series = TwoBlockSeries(200, 1);
   RoundProcessor processor(series.n_sensors(), SmallOptions());
-  const RoundOutput out = processor.ProcessWindow(series, 0);
+  RoundWorkspace workspace;
+  const RoundOutput out = processor.ProcessWindow(series, 0, workspace);
   EXPECT_TRUE(out.outliers.empty());  // RC is 1 before any transition
   EXPECT_EQ(out.n_variations, 0);
   EXPECT_GT(out.n_communities, 0);
@@ -48,8 +51,9 @@ TEST(RoundProcessorTest, FirstRoundHasNoOutliersOrVariations) {
 TEST(RoundProcessorTest, StableDataProducesNoVariations) {
   const ts::MultivariateSeries series = TwoBlockSeries(400, 2);
   RoundProcessor processor(series.n_sensors(), SmallOptions());
+  RoundWorkspace workspace;
   for (int r = 0; r < 20; ++r) {
-    const RoundOutput out = processor.ProcessWindow(series, r * 4);
+    const RoundOutput out = processor.ProcessWindow(series, r * 4, workspace);
     EXPECT_EQ(out.n_variations, 0) << "round " << r;
     EXPECT_TRUE(out.outliers.empty()) << "round " << r;
   }
@@ -59,7 +63,8 @@ TEST(RoundProcessorTest, StableDataProducesNoVariations) {
 TEST(RoundProcessorTest, DetectsCommunityStructure) {
   const ts::MultivariateSeries series = TwoBlockSeries(200, 3);
   RoundProcessor processor(series.n_sensors(), SmallOptions());
-  processor.ProcessWindow(series, 0);
+  RoundWorkspace workspace;
+  processor.ProcessWindow(series, 0, workspace);
   const std::vector<int>& communities = processor.last_communities();
   ASSERT_EQ(communities.size(), 8u);
   // Block 0 sensors share a community; block 1 sensors share another.
@@ -73,11 +78,13 @@ TEST(RoundProcessorTest, OutliersAppearAfterCorrelationBreak) {
   testing::SmallScenario scenario = testing::MakeSmallScenario();
   CadOptions options = SmallOptions();
   RoundProcessor processor(scenario.test.n_sensors(), options);
+  RoundWorkspace workspace;
 
   bool saw_variation_in_anomaly = false;
   for (int start = 0; start + options.window <= scenario.test.length();
        start += options.step) {
-    const RoundOutput out = processor.ProcessWindow(scenario.test, start);
+    const RoundOutput out =
+        processor.ProcessWindow(scenario.test, start, workspace);
     const int end = start + options.window;
     const bool overlaps_anomaly =
         start < scenario.anomaly_end && end > scenario.anomaly_start;
@@ -91,29 +98,52 @@ TEST(RoundProcessorTest, OutliersAppearAfterCorrelationBreak) {
 TEST(RoundProcessorTest, ResetRestoresInitialState) {
   const ts::MultivariateSeries series = TwoBlockSeries(200, 4);
   RoundProcessor processor(series.n_sensors(), SmallOptions());
-  processor.ProcessWindow(series, 0);
-  processor.ProcessWindow(series, 4);
+  RoundWorkspace workspace;
+  processor.ProcessWindow(series, 0, workspace);
+  processor.ProcessWindow(series, 4, workspace);
   processor.Reset();
   EXPECT_EQ(processor.rounds_processed(), 0);
-  const RoundOutput out = processor.ProcessWindow(series, 0);
+  const RoundOutput out = processor.ProcessWindow(series, 0, workspace);
   EXPECT_TRUE(out.outliers.empty());
   EXPECT_EQ(out.n_variations, 0);
 }
 
+// Two processors take turns on one shared workspace, b one window behind a:
+// every round of b runs on what a's round on a different window left in the
+// workspace, and must still match a's round on the same window. Drivers rely
+// on this when one arena serves several processors (CadDetector's warm-up
+// and detection, the fleet's pooled arenas).
 TEST(RoundProcessorTest, DeterministicAcrossInstances) {
   testing::SmallScenario scenario = testing::MakeSmallScenario();
   const CadOptions options = SmallOptions();
   RoundProcessor a(scenario.test.n_sensors(), options);
   RoundProcessor b(scenario.test.n_sensors(), options);
+  RoundWorkspace shared;
+  std::vector<int> starts;
   for (int start = 0; start + options.window <= scenario.test.length();
        start += options.step * 3) {
-    const RoundOutput oa = a.ProcessWindow(scenario.test, start);
-    const RoundOutput ob = b.ProcessWindow(scenario.test, start);
-    EXPECT_EQ(oa.outliers, ob.outliers);
+    starts.push_back(start);
+  }
+  ASSERT_GT(starts.size(), 10u);
+  std::vector<RoundOutput> from_a;
+  for (size_t r = 0; r <= starts.size(); ++r) {
+    if (r < starts.size()) {
+      from_a.push_back(a.ProcessWindow(scenario.test, starts[r], shared));
+    }
+    if (r == 0) continue;
+    const RoundOutput& oa = from_a[r - 1];
+    const RoundOutput& ob =
+        b.ProcessWindow(scenario.test, starts[r - 1], shared);
+    EXPECT_EQ(oa.outliers, ob.outliers) << "round " << r - 1;
+    EXPECT_EQ(oa.entered, ob.entered);
+    EXPECT_EQ(oa.entered_movers, ob.entered_movers);
+    EXPECT_EQ(oa.exited, ob.exited);
     EXPECT_EQ(oa.n_variations, ob.n_variations);
     EXPECT_EQ(oa.n_communities, ob.n_communities);
     EXPECT_EQ(oa.n_edges, ob.n_edges);
+    EXPECT_EQ(oa.modularity, ob.modularity);
   }
+  EXPECT_EQ(a.last_communities(), b.last_communities());
 }
 
 }  // namespace

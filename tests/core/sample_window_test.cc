@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <tuple>
 #include <vector>
+
+#include "ts/multivariate_series.h"
 
 namespace cad::core {
 namespace {
@@ -91,6 +94,53 @@ TEST(SampleWindowTest, MaterializeUnwrapsTheRingOldestFirst) {
     EXPECT_EQ(out.value(0, t), 3.0 + t);
     EXPECT_EQ(out.value(1, t), 13.0 + t);
     EXPECT_EQ(out.value(2, t), 103.0 + t);
+  }
+}
+
+// The round reads its window in place: at every sample that closes a round,
+// columns [window_column(), window_column() + window) of the ring hold the
+// last `window` samples pushed, oldest first, as MaterializeInto copies
+// them. Several wraps of the ring, step 1 and step 3, and a second stream
+// after Clear().
+TEST(SampleWindowTest, RingHoldsEachClosedWindowContiguously) {
+  constexpr int kSensors = 3;
+  constexpr int kWindow = 5;
+  for (const int step : {1, 3}) {
+    SampleWindow window(kSensors, kWindow, step);
+    ts::MultivariateSeries materialized(kSensors, kWindow);
+    for (int stream = 0; stream < 2; ++stream) {
+      std::vector<std::vector<double>> pushed;
+      int rounds = 0;
+      for (int t = 0; t < 6 * kWindow + 2; ++t) {
+        std::vector<double> sample(kSensors);
+        for (int i = 0; i < kSensors; ++i) {
+          sample[i] = 1000.0 * stream + 100.0 * i + t;
+        }
+        pushed.push_back(sample);
+        if (!window.Append(sample)) continue;
+        ++rounds;
+        window.MaterializeInto(&materialized);
+        const ts::MultivariateSeries& ring = window.ring();
+        ASSERT_EQ(ring.n_sensors(), kSensors);
+        ASSERT_EQ(ring.length(), 2 * kWindow);
+        ASSERT_GE(window.window_column(), 0);
+        ASSERT_LT(window.window_column(), kWindow);
+        for (int i = 0; i < kSensors; ++i) {
+          const std::span<const double> in_place =
+              ring.sensor_window(i, window.window_column(), kWindow);
+          for (int j = 0; j < kWindow; ++j) {
+            const double expected =
+                pushed[static_cast<size_t>(t + 1 - kWindow + j)][i];
+            EXPECT_EQ(in_place[j], expected)
+                << "step " << step << " stream " << stream << " t " << t
+                << " sensor " << i << " column " << j;
+            EXPECT_EQ(materialized.value(i, j), expected);
+          }
+        }
+      }
+      EXPECT_EQ(rounds, (6 * kWindow + 2 - kWindow) / step + 1);
+      window.Clear();
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -269,7 +270,20 @@ TEST(FleetEngineTest, TenantRegistrationContract) {
   EXPECT_FALSE(fleet.AddTenant("sp ace", 4, cad_options).ok());
   EXPECT_FALSE(fleet.AddTenant(std::string(121, 'a'), 4, cad_options).ok());
   EXPECT_FALSE(fleet.AddTenant("zero_sensors", 0, cad_options).ok());
-  EXPECT_FALSE(fleet.AddTenant("bad_weight", 4, cad_options, 0.0).ok());
+  // The scheduler's stride 1 / weight must be finite and positive: +inf
+  // never advances a tenant's virtual time, a denormal makes it +inf.
+  // Distinct names, so no case can pass as a duplicate of an accepted one.
+  using Limits = std::numeric_limits<double>;
+  int case_id = 0;
+  for (const double weight : {0.0, -1.0, Limits::quiet_NaN(),
+                              Limits::infinity(), 1e-320,
+                              Limits::denorm_min()}) {
+    const std::string name = "bad_weight_" + std::to_string(case_id++);
+    EXPECT_EQ(fleet.AddTenant(name, 4, cad_options, weight).status().code(),
+              StatusCode::kInvalidArgument)
+        << "weight " << weight;
+  }
+  EXPECT_TRUE(fleet.AddTenant("tiny_weight", 4, cad_options, 1e-300).ok());
 
   EXPECT_EQ(fleet.TenantIndex("ok_name.v1-a").ValueOrDie(), 0);
   EXPECT_FALSE(fleet.TenantIndex("missing").ok());
@@ -285,6 +299,16 @@ TEST(FleetEngineTest, InvalidOptionsFailStart) {
   bad.n_workers = 0;
   FleetEngine fleet(bad);
   EXPECT_FALSE(fleet.Start().ok());
+}
+
+// The fleet's options size each tenant's queue, so AddTenant checks them
+// (a negative capacity threw out of the queue's constructor).
+TEST(FleetEngineTest, AddTenantRejectsInvalidFleetOptions) {
+  FleetOptions bad;
+  bad.queue_capacity = -1;
+  FleetEngine fleet(bad);
+  EXPECT_EQ(fleet.AddTenant("t0", 4, MakeCadOptions()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(FleetEngineTest, ExpositionServesLabelledMetricsHealthAndExplain) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/alloc_tracker.h"
+
 namespace cad::graph {
 namespace {
 
@@ -101,6 +106,59 @@ TEST(GraphTest, AssignAdjacencyReplacesEveryListAndKeepsCapacity) {
   ASSERT_EQ(g.degree(1), 1);
   EXPECT_EQ(g.neighbors(1).data(), list1);
   EXPECT_TRUE(g.HasEdge(2, 1));
+}
+
+// The adjacency of an n-vertex cycle: vertex u's list is {u - 1, u + 1}.
+void CycleAdjacency(int n, std::vector<int>* offsets,
+                    std::vector<Graph::Neighbor>* neighbors) {
+  offsets->assign(1, 0);
+  neighbors->clear();
+  for (int u = 0; u < n; ++u) {
+    neighbors->push_back({(u + n - 1) % n, 0.5});
+    neighbors->push_back({(u + 1) % n, 0.5});
+    offsets->push_back(static_cast<int>(neighbors->size()));
+  }
+}
+
+// A graph rebuilt with fewer vertices keeps the lists of the vertices it
+// drops, so regrowing to the earlier size with the same lists allocates
+// nothing. Louvain's level graphs shrink across levels and grow back in the
+// next round.
+TEST(GraphTest, ShrinkAndRegrowKeepsDroppedListsCapacity) {
+  common::LinkAllocHook();
+  ASSERT_TRUE(common::AllocHookInstalled());
+  std::vector<int> offsets8, offsets3;
+  std::vector<Graph::Neighbor> cycle8, cycle3;
+  CycleAdjacency(8, &offsets8, &cycle8);
+  CycleAdjacency(3, &offsets3, &cycle3);
+
+  Graph g;
+  g.AssignAdjacency(offsets8, cycle8);
+  g.AssignAdjacency(offsets3, cycle3);
+  EXPECT_EQ(g.n_vertices(), 3);
+  EXPECT_EQ(g.n_edges(), 3);
+  int64_t before = common::ThreadAllocCount();
+  g.AssignAdjacency(offsets8, cycle8);
+  EXPECT_EQ(common::ThreadAllocCount() - before, 0);
+  ASSERT_EQ(g.n_vertices(), 8);
+  EXPECT_EQ(g.n_edges(), 8);
+  for (int u = 0; u < 8; ++u) {
+    ASSERT_EQ(g.degree(u), 2);
+    EXPECT_EQ(g.neighbors(u)[0].vertex, (u + 7) % 8);
+    EXPECT_EQ(g.neighbors(u)[1].vertex, (u + 1) % 8);
+  }
+
+  // Reset keeps them too, and the regrown vertices start isolated.
+  g.Reset(3);
+  EXPECT_EQ(g.n_vertices(), 3);
+  before = common::ThreadAllocCount();
+  g.Reset(8);
+  g.AssignAdjacency(offsets8, cycle8);
+  EXPECT_EQ(common::ThreadAllocCount() - before, 0);
+  g.Reset(8);
+  for (int u = 0; u < 8; ++u) EXPECT_EQ(g.degree(u), 0);
+  EXPECT_EQ(g.n_edges(), 0);
+  EXPECT_TRUE(g.SortedEdges().empty());
 }
 
 }  // namespace

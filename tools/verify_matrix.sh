@@ -19,8 +19,11 @@
 #                   CAPABILITY/GUARDED_BY annotations; SKIPs when clang++ is
 #                   not installed (GCC compiles the annotations to no-ops).
 #   7. engine     — focused re-run of the batch/stream/fleet equivalence,
-#                   allocation-gauge and SampleWindow cadence tests, plus the
-#                   bit-for-bit reference tests of the correlation and kNN
+#                   allocation-gauge, flight-log-file and SampleWindow
+#                   cadence and ring tests, the RoundProcessor tests (two
+#                   processors on one shared workspace) and the Graph tests
+#                   (adjacency capacity kept across shrink and regrow), plus
+#                   the bit-for-bit reference tests of the correlation and kNN
 #                   kernels (every tile kernel the host runs; their
 #                   n_threads = 3 cases are the TSan coverage, and ASan
 #                   catches a block reading past the padding) and of Louvain,
@@ -122,8 +125,9 @@ run_preset() {
 }
 
 # Builds a sanitizer preset and runs only the engine unification tests
-# (driver equivalence, allocation gauge, round cadence, kernel references)
-# under it.
+# (driver equivalence, allocation gauge, round cadence and the ring the
+# rounds read in place, rounds on a shared workspace, graph capacity reuse,
+# the flight-log file, kernel references) under it.
 run_engine_under() {
   local preset="$1"
   echo
@@ -131,7 +135,7 @@ run_engine_under() {
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$JOBS"
   ctest --preset "$preset" \
-    -R 'EngineEquivalenceTest|EngineAllocTest|EngineAllocSweepTest|SampleWindowTest|CorrelationKernelReferenceTest|CorrelationKernelBoundsTest|CorrelationKernelPickTest|CorrelationMatrixLayoutTest|CorrelationMatrixTest|KnnReferenceTest|LouvainReferenceTest' \
+    -R 'EngineEquivalenceTest|EngineAllocTest|EngineAllocSweepTest|EngineFlightLogTest|SampleWindowTest|RoundProcessorTest|GraphTest|CorrelationKernelReferenceTest|CorrelationKernelBoundsTest|CorrelationKernelPickTest|CorrelationMatrixLayoutTest|CorrelationMatrixTest|KnnReferenceTest|LouvainReferenceTest' \
     --output-on-failure
 }
 
