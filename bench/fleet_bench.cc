@@ -1,7 +1,12 @@
 // fleet_bench — multi-tenant scale benchmark for fleet::FleetEngine,
 // writing BENCH_fleet.json.
 //
-// Two measurements per tenant scale:
+// Three measurements per tenant scale:
+//
+//  0. Set-up: AddTenant for every tenant plus Start, with the
+//     product-default flight recorder (the throughput run below disables
+//     it), median of a few repeats. Reports the seconds and the heap
+//     allocations per tenant made on the calling thread.
 //
 //  1. End-to-end throughput: N tenants stream the same synthetic sensor
 //     data through the full machinery (bounded queues -> weighted scheduler
@@ -74,12 +79,18 @@ struct FleetBenchConfig {
   // amortizes it into a few percent of ratio while real unfairness scales
   // with the run and stays caught.
   int fairness_quanta_per_tenant = 2000;
+  int setup_repeats = 5;
   double max_fairness_ratio = 1.25;
   double max_steady_allocs_per_round = 1.0;
 
   int samples_per_tenant() const {
     return window + (rounds_per_tenant - 1) * step;
   }
+};
+
+struct SetupResult {
+  double seconds = 0.0;  // median over the repeats
+  double allocs_per_tenant = 0.0;
 };
 
 struct ThroughputResult {
@@ -128,23 +139,63 @@ void NormalizedServiceRange(const fleet::WeightedScheduler& scheduler,
   }
 }
 
-ThroughputResult RunThroughput(const FleetBenchConfig& config, int n_tenants,
-                               const ts::MultivariateSeries& data,
-                               std::string* metrics_text) {
+fleet::FleetOptions MakeFleetOptions(const FleetBenchConfig& config,
+                                     obs::Registry* registry) {
   fleet::FleetOptions fleet_options;
   fleet_options.n_workers = config.n_workers;
   fleet_options.queue_capacity = config.queue_capacity;
   fleet_options.quantum_samples = config.quantum_samples;
   fleet_options.alloc_warmup_rounds = config.alloc_warmup_rounds;
-  obs::Registry registry;
-  fleet_options.metrics_registry = &registry;
-  fleet::FleetEngine fleet(fleet_options);
+  fleet_options.metrics_registry = registry;
+  return fleet_options;
+}
 
+core::CadOptions MakeCadOptions(const FleetBenchConfig& config) {
   core::CadOptions cad_options;
   cad_options.window = config.window;
   cad_options.step = config.step;
   cad_options.k = 3;
   cad_options.tau = 0.55;
+  return cad_options;
+}
+
+SetupResult RunSetup(const FleetBenchConfig& config, int n_tenants) {
+  const core::CadOptions cad_options = MakeCadOptions(config);
+  std::vector<std::string> names;
+  names.reserve(static_cast<size_t>(n_tenants));
+  for (int t = 0; t < n_tenants; ++t) {
+    names.push_back("tenant_" + std::to_string(t));
+  }
+
+  SetupResult result;
+  std::vector<double> seconds;
+  for (int rep = 0; rep < config.setup_repeats; ++rep) {
+    obs::Registry registry;
+    const int64_t allocs_before = common::ThreadAllocCount();
+    Stopwatch watch;
+    fleet::FleetEngine fleet(MakeFleetOptions(config, &registry));
+    for (const std::string& name : names) {
+      (void)fleet.AddTenant(name, config.n_sensors, cad_options).ValueOrDie();
+    }
+    if (!fleet.Start().ok()) std::abort();
+    seconds.push_back(watch.ElapsedSeconds());
+    result.allocs_per_tenant =
+        static_cast<double>(common::ThreadAllocCount() - allocs_before) /
+        n_tenants;
+    fleet.Stop();
+  }
+  std::sort(seconds.begin(), seconds.end());
+  result.seconds = seconds[seconds.size() / 2];
+  return result;
+}
+
+ThroughputResult RunThroughput(const FleetBenchConfig& config, int n_tenants,
+                               const ts::MultivariateSeries& data,
+                               std::string* metrics_text) {
+  obs::Registry registry;
+  fleet::FleetEngine fleet(MakeFleetOptions(config, &registry));
+
+  core::CadOptions cad_options = MakeCadOptions(config);
   cad_options.flight_log_capacity = 0;  // scale run; no per-tenant ring
   for (int t = 0; t < n_tenants; ++t) {
     (void)fleet
@@ -324,9 +375,16 @@ int Main(int argc, char** argv) {
 
   bool failed = false;
   std::string metrics_text;
+  std::vector<SetupResult> setup;
   std::vector<ThroughputResult> throughput;
   std::vector<FairnessResult> fairness;
   for (int scale : config.tenant_scales) {
+    std::fprintf(stderr, "[fleet_bench] %d tenants: set-up...\n", scale);
+    setup.push_back(RunSetup(config, scale));
+    std::fprintf(stderr,
+                 "[fleet_bench]   %.4f s (median of %d), %.1f allocs/tenant\n",
+                 setup.back().seconds, config.setup_repeats,
+                 setup.back().allocs_per_tenant);
     std::fprintf(stderr, "[fleet_bench] %d tenants, %d workers: throughput...\n",
                  scale, config.n_workers);
     throughput.push_back(RunThroughput(
@@ -398,6 +456,8 @@ int Main(int argc, char** argv) {
                "    \"rounds_per_tenant\": %d,\n"
                "    \"queue_capacity\": %d,\n"
                "    \"quantum_samples\": %d,\n"
+               "    \"setup_repeats\": %d,\n"
+               "    \"setup_flight_log_capacity\": %d,\n"
                "    \"max_fairness_ratio\": %.2f,\n"
                "    \"max_steady_allocs_per_round\": %.1f\n"
                "  },\n"
@@ -407,14 +467,18 @@ int Main(int argc, char** argv) {
                config.n_workers, config.n_producers, config.n_sensors,
                config.window, config.step, config.rounds_per_tenant,
                config.queue_capacity, config.quantum_samples,
+               config.setup_repeats, core::CadOptions{}.flight_log_capacity,
                config.max_fairness_ratio, config.max_steady_allocs_per_round);
   for (size_t i = 0; i < throughput.size(); ++i) {
+    const SetupResult& su = setup[i];
     const ThroughputResult& tp = throughput[i];
     const FairnessResult& fr = fairness[i];
     std::fprintf(
         out,
         "    {\n"
         "      \"tenants\": %d,\n"
+        "      \"setup_seconds\": %.6f,\n"
+        "      \"setup_allocs_per_tenant\": %.2f,\n"
         "      \"rounds\": %llu,\n"
         "      \"rounds_per_sec\": %.1f,\n"
         "      \"p50_round_seconds\": %.9f,\n"
@@ -437,7 +501,8 @@ int Main(int argc, char** argv) {
         "        \"seconds\": %.6f\n"
         "      }\n"
         "    }%s\n",
-        tp.tenants, static_cast<unsigned long long>(tp.rounds),
+        tp.tenants, su.seconds, su.allocs_per_tenant,
+        static_cast<unsigned long long>(tp.rounds),
         tp.rounds_per_sec, tp.p50_round_seconds, tp.p99_round_seconds,
         static_cast<unsigned long long>(tp.steady_rounds),
         tp.steady_allocs_per_round,

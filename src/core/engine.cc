@@ -198,33 +198,30 @@ std::optional<EngineRound> DetectionEngine::Push(
   policy_.Update(round_index_, out.n_variations);
 
   if (recorder_.enabled()) {
-    // Ring slots are preallocated for n_sensors ids, so filling one is
-    // assign()s into reserved capacity — no heap traffic, same contract as
-    // the round itself.
-    obs::DecisionRecord& rec = recorder_.BeginRecord();
-    rec.round = round_index_;
-    rec.window_start = result.window_start;
-    rec.window_end = result.window_end;
-    rec.n_variations = out.n_variations;
-    rec.mu = decision.mu;
-    rec.sigma = decision.sigma;
-    rec.threshold = decision.threshold;
-    rec.score = decision.score;
-    rec.abnormal = decision.abnormal;
-    rec.anomaly_open = assembler_.open();
-    rec.n_outliers = static_cast<int>(out.outliers.size());
-    rec.n_communities = out.n_communities;
-    rec.n_edges = out.n_edges;
-    rec.modularity = out.modularity;
-    rec.entered.assign(out.entered.begin(), out.entered.end());
-    rec.exited.assign(out.exited.begin(), out.exited.end());
-    rec.movers.assign(out.entered_movers.begin(), out.entered_movers.end());
-    rec.correlation_seconds = out.correlation_seconds;
-    rec.knn_seconds = out.knn_seconds;
-    rec.louvain_seconds = out.louvain_seconds;
-    rec.coappearance_seconds = out.coappearance_seconds;
-    rec.round_seconds = out.round_seconds;
-    recorder_.Commit();
+    // The recorder's slot and id arena were allocated and written at
+    // construction, so recording copies into them — no heap traffic, same
+    // contract as the round itself.
+    obs::DecisionFacts facts;
+    facts.round = round_index_;
+    facts.window_start = result.window_start;
+    facts.window_end = result.window_end;
+    facts.n_variations = out.n_variations;
+    facts.mu = decision.mu;
+    facts.sigma = decision.sigma;
+    facts.threshold = decision.threshold;
+    facts.score = decision.score;
+    facts.abnormal = decision.abnormal;
+    facts.anomaly_open = assembler_.open();
+    facts.n_outliers = static_cast<int>(out.outliers.size());
+    facts.n_communities = out.n_communities;
+    facts.n_edges = out.n_edges;
+    facts.modularity = out.modularity;
+    facts.correlation_seconds = out.correlation_seconds;
+    facts.knn_seconds = out.knn_seconds;
+    facts.louvain_seconds = out.louvain_seconds;
+    facts.coappearance_seconds = out.coappearance_seconds;
+    facts.round_seconds = out.round_seconds;
+    recorder_.Record(facts, out.entered, out.exited, out.entered_movers);
   }
 
   CAD_VALIDATE(check::ValidateRunningStats(policy_.stats(),

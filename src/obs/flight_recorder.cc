@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -33,32 +34,6 @@ void AppendIntArray(std::string* out, const std::vector<int>& values) {
 }
 
 }  // namespace
-
-void DecisionRecord::Clear() CAD_REALTIME_AUDITED {
-  round = -1;
-  window_start = 0;
-  window_end = 0;
-  n_variations = 0;
-  mu = 0.0;
-  sigma = 0.0;
-  threshold = 0.0;
-  score = 0.0;
-  abnormal = false;
-  anomaly_open = false;
-  n_outliers = 0;
-  n_communities = 0;
-  n_edges = 0;
-  modularity = 0.0;
-  entered.clear();
-  exited.clear();
-  movers.clear();
-  correlation_seconds = 0.0;
-  knn_seconds = 0.0;
-  louvain_seconds = 0.0;
-  coappearance_seconds = 0.0;
-  round_seconds = 0.0;
-  unix_us = 0;
-}
 
 DecisionProvenance MakeProvenance(const DecisionRecord& record,
                                   const DecisionRecord* previous) {
@@ -162,17 +137,14 @@ std::string ProvenanceToJson(const DecisionProvenance& provenance) {
 }
 
 FlightRecorder::FlightRecorder(int capacity, int n_sensors)
-    : capacity_(capacity > 0 ? capacity : 0) {
+    : capacity_(capacity > 0 ? capacity : 0),
+      ids_per_slot_(n_sensors > 0 ? 2 * static_cast<size_t>(n_sensors) : 0) {
   CAD_CHECK(capacity >= 0, "flight recorder capacity must be >= 0");
   if (capacity_ == 0) return;
-  ring_.resize(static_cast<size_t>(capacity_));
-  steady_us_.assign(static_cast<size_t>(capacity_), 0);
-  const size_t reserve = n_sensors > 0 ? static_cast<size_t>(n_sensors) : 0;
-  for (DecisionRecord& record : ring_) {
-    record.entered.reserve(reserve);
-    record.exited.reserve(reserve);
-    record.movers.reserve(reserve);
-  }
+  // Value-initialized: both blocks are written here, so no round pays a
+  // first-touch page fault.
+  slots_.resize(static_cast<size_t>(capacity_));
+  ids_.resize(static_cast<size_t>(capacity_) * ids_per_slot_);
 }
 
 FlightRecorder::~FlightRecorder() {
@@ -188,60 +160,75 @@ int FlightRecorder::size() const {
 
 int64_t FlightRecorder::total_records() const { return total_; }
 
-DecisionRecord& FlightRecorder::BeginRecord() CAD_REALTIME_AUDITED {
-  CAD_CHECK(enabled(), "BeginRecord on a disabled flight recorder");
-  DecisionRecord& record = ring_[static_cast<size_t>(slot(total_))];
-  record.Clear();
-  return record;
-}
-
-void FlightRecorder::Commit() CAD_REALTIME_AUDITED {
-  CAD_CHECK(enabled(), "Commit on a disabled flight recorder");
-  const size_t index = static_cast<size_t>(slot(total_));
-  ring_[index].unix_us = WallNowUs();
-  steady_us_[index] = SteadyNowUs();
+void FlightRecorder::Record(const DecisionFacts& facts,
+                            std::span<const int> entered,
+                            std::span<const int> exited,
+                            std::span<const int> movers) CAD_REALTIME_AUDITED {
+  CAD_CHECK(enabled(), "Record on a disabled flight recorder");
+  CAD_CHECK(facts.round == total_,
+            "flight recorder rounds must be recorded in order from 0");
+  CAD_CHECK(entered.size() + exited.size() + movers.size() <= ids_per_slot_,
+            "a round's ids exceed 2 * n_sensors");
+  const size_t index = slot(total_);
+  Slot& s = slots_[index];
+  s.facts = facts;
+  s.facts.unix_us = WallNowUs();
+  s.steady_us = SteadyNowUs();
+  s.n_entered = static_cast<int>(entered.size());
+  s.n_exited = static_cast<int>(exited.size());
+  s.n_movers = static_cast<int>(movers.size());
+  int* ids = ids_.data() + index * ids_per_slot_;
+  ids = std::copy(entered.begin(), entered.end(), ids);
+  ids = std::copy(exited.begin(), exited.end(), ids);
+  std::copy(movers.begin(), movers.end(), ids);
   ++total_;
 }
 
-const DecisionRecord* FlightRecorder::latest() const {
-  if (total_ == 0) return nullptr;
-  return &ring_[static_cast<size_t>(slot(total_ - 1))];
+DecisionRecord FlightRecorder::RecordAt(int64_t index) const {
+  const Slot& s = slots_[slot(index)];
+  const int* entered = ids_.data() + slot(index) * ids_per_slot_;
+  const int* exited = entered + s.n_entered;
+  const int* movers = exited + s.n_exited;
+  return DecisionRecord{s.facts, std::vector<int>(entered, exited),
+                        std::vector<int>(exited, movers),
+                        std::vector<int>(movers, movers + s.n_movers)};
 }
 
-const DecisionRecord* FlightRecorder::Find(int round) const {
-  if (!enabled() || round < 0) return nullptr;
-  const DecisionRecord& candidate = ring_[static_cast<size_t>(slot(round))];
-  return candidate.round == round ? &candidate : nullptr;
+std::optional<DecisionRecord> FlightRecorder::latest() const {
+  if (total_ == 0) return std::nullopt;
+  return RecordAt(total_ - 1);
+}
+
+std::optional<DecisionRecord> FlightRecorder::Find(int round) const {
+  if (!Holds(round)) return std::nullopt;
+  return RecordAt(round);
 }
 
 std::optional<DecisionProvenance> FlightRecorder::Explain(int round) const {
-  const DecisionRecord* record = Find(round);
-  if (record == nullptr) return std::nullopt;
-  return MakeProvenance(*record, Find(round - 1));
+  if (!Holds(round)) return std::nullopt;
+  const std::optional<DecisionRecord> previous = Find(round - 1);
+  return MakeProvenance(RecordAt(round), previous ? &*previous : nullptr);
 }
 
 double FlightRecorder::seconds_since_last_record() const {
   if (total_ == 0) return std::numeric_limits<double>::infinity();
-  const int64_t last = steady_us_[static_cast<size_t>(slot(total_ - 1))];
+  const int64_t last = slots_[slot(total_ - 1)].steady_us;
   return static_cast<double>(SteadyNowUs() - last) * 1e-6;
 }
 
 double FlightRecorder::recent_rounds_per_second() const {
   const int held = size();
   if (held < 2) return 0.0;
-  const int64_t newest = steady_us_[static_cast<size_t>(slot(total_ - 1))];
-  const int64_t oldest = steady_us_[static_cast<size_t>(slot(total_ - held))];
+  const int64_t newest = slots_[slot(total_ - 1)].steady_us;
+  const int64_t oldest = slots_[slot(total_ - held)].steady_us;
   if (newest <= oldest) return 0.0;
   return static_cast<double>(held - 1) /
          (static_cast<double>(newest - oldest) * 1e-6);
 }
 
 void FlightRecorder::DumpJsonl(std::string* out) const {
-  const int held = size();
-  for (int i = 0; i < held; ++i) {
-    const DecisionRecord& record =
-        ring_[static_cast<size_t>(slot(total_ - held + i))];
-    *out += DecisionRecordToJson(record);
+  for (int64_t index = total_ - size(); index < total_; ++index) {
+    *out += DecisionRecordToJson(RecordAt(index));
     *out += '\n';
   }
 }
@@ -249,19 +236,17 @@ void FlightRecorder::DumpJsonl(std::string* out) const {
 void FlightRecorder::AppendRangeJsonl(int first_round, int last_round,
                                       std::string* out) const {
   for (int round = first_round; round <= last_round; ++round) {
-    const DecisionRecord* record = Find(round);
-    if (record == nullptr) continue;  // evicted or never recorded
-    *out += DecisionRecordToJson(*record);
+    if (!Holds(round)) continue;  // evicted or never recorded
+    *out += DecisionRecordToJson(RecordAt(round));
     *out += '\n';
   }
 }
 
 std::vector<DecisionRecord> FlightRecorder::Records() const {
   std::vector<DecisionRecord> records;
-  const int held = size();
-  records.reserve(static_cast<size_t>(held));
-  for (int i = 0; i < held; ++i) {
-    records.push_back(ring_[static_cast<size_t>(slot(total_ - held + i))]);
+  records.reserve(static_cast<size_t>(size()));
+  for (int64_t index = total_ - size(); index < total_; ++index) {
+    records.push_back(RecordAt(index));
   }
   return records;
 }

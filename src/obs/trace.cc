@@ -45,7 +45,7 @@ size_t Tracer::event_count() const {
 }
 
 void Tracer::Clear() {
-  // cad-lint: allow(CL007) name-resolution over-approximation: the round loop's `.Clear()` calls hit RoundOutput/DecisionRecord, never the tracer's test-only reset
+  // cad-lint: allow(CL007) name-resolution over-approximation: the round loop's `.Clear()` calls hit RoundOutput, never the tracer's test-only reset
   common::MutexLock lock(mu_);
   events_.clear();
   dropped_.store(0, std::memory_order_relaxed);

@@ -206,13 +206,12 @@ void internal::WindowCorrelationMatrixWithKernel(
   // Center and unit-normalize each sensor's window (rank-transformed first
   // for Spearman); the correlation of two sensors is then a dot product.
   // The tiles read the residuals time-major: row t holds every sensor's
-  // value at t, padded with zero columns to a multiple of kResidualAlign,
-  // and kResidualSpareRows zero rows follow the last one. The per-cell
-  // kernel reads them sensor-major. A degenerate sensor's residuals are all
-  // 0, so its every product, and so its every cell, is +0.0.
+  // value at t, padded with zero columns to ResidualStride(n), and
+  // kResidualSpareRows zero rows follow the last one. The per-cell kernel
+  // reads them sensor-major. A degenerate sensor's residuals are all 0, so
+  // its every product, and so its every cell, is +0.0.
   const bool tiled = n >= kMinTiledSensors;
-  const int stride =
-      tiled ? (n + kResidualAlign - 1) / kResidualAlign * kResidualAlign : n;
+  const int stride = tiled ? internal::ResidualStride(n) : n;
   const size_t sensor_step = tiled ? 1 : static_cast<size_t>(w);
   const size_t time_step = tiled ? static_cast<size_t>(stride) : 1;
   const size_t values = static_cast<size_t>(w) * stride;

@@ -24,6 +24,18 @@ namespace cad::stats::internal {
 // height. No tile reads a column, nor a block a row value, past it.
 inline constexpr int kResidualAlign = 32;
 
+// The row stride the matrix uses for n sensors: n rounded up to a multiple
+// of kResidualAlign, plus one unread 64-byte line (8 values). The aligned
+// width is always a whole number of 256-byte groups, i.e. an even number of
+// lines; the extra line makes the stride an odd number of lines, so a
+// sensor's w transposed residual writes, one per row, spread over L1's sets
+// instead of sharing a few (at IS-5, 1,280 values are 10,240 B, 2,048 mod
+// 4,096, and put all 73 writes in 2 of 64 sets; 1,288 spreads them).
+inline constexpr int ResidualStride(int n) {
+  static_assert(kResidualAlign % 16 == 0, "aligned rows are even lines");
+  return (n + kResidualAlign - 1) / kResidualAlign * kResidualAlign + 8;
+}
+
 // Zero rows after the last time step. GCC 12's loop vectorizer may load a
 // block's R row values at time t as part of a vector it fills from the next
 // time steps' rows, and then use only the lanes of time t: up to
@@ -38,9 +50,11 @@ struct TileKernel {
   int block_rows;    // rows per block, the unit threads split the triangle by
   // Cells of rows i ... i + block_rows - 1 of the triangle (rows from n - 1
   // on have none), from the time-major residuals `res`: w rows of `stride`
-  // values, stride n rounded up to a multiple of kResidualAlign, then
-  // kResidualSpareRows zero rows; i a multiple of block_rows. Reads
-  // nothing outside those (w + kResidualSpareRows) * stride values.
+  // values, stride at least n rounded up to a multiple of kResidualAlign
+  // (ResidualStride(n) in the matrix), then kResidualSpareRows zero rows; i
+  // a multiple of block_rows. Reads nothing outside those
+  // (w + kResidualSpareRows) * stride values, and no column of a row from
+  // n rounded up to kResidualAlign on.
   void (*block)(const double* res, int stride, int w, int n, int i,
                 CorrelationMatrix* out);
 };

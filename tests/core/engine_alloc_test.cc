@@ -92,8 +92,9 @@ TEST(EngineAllocTest, StreamingSteadyStateRoundsAreAllocationFree) {
 
 TEST(EngineAllocTest, FlightRecorderWraparoundStaysAllocationFree) {
   // A deliberately tiny ring: the run wraps it many times over, so steady
-  // state covers slot reuse (Clear + refill) rather than first-fill growth.
-  // The flight recorder must not cost the hot path a single allocation.
+  // state covers slot reuse (in-place overwrite) rather than first-fill
+  // growth. The flight recorder must not cost the hot path a single
+  // allocation.
   common::LinkAllocHook();
   const testing::SmallScenario scenario = testing::MakeSmallScenario();
   obs::Registry registry;

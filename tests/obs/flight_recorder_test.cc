@@ -2,35 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/check.h"
+#include "common/alloc_tracker.h"
 
 namespace cad::obs {
 namespace {
 
-// Fills the next slot with a synthetic round whose fields are derived from
-// the round index, so eviction / lookup results are checkable by value.
+// Records a synthetic round whose fields are derived from the round index,
+// so eviction / lookup results are checkable by value.
 void RecordRound(FlightRecorder* recorder, int round) {
-  DecisionRecord& record = recorder->BeginRecord();
-  record.round = round;
-  record.window_start = round * 4;
-  record.window_end = round * 4 + 40;
-  record.n_variations = round % 5;
-  record.mu = 0.5 * round;
-  record.sigma = 0.25;
-  record.threshold = 0.75;
-  record.score = 0.1;
-  record.abnormal = (round % 3 == 0);
-  record.entered.push_back(round);
-  record.movers.push_back(round);
-  recorder->Commit();
+  DecisionFacts facts;
+  facts.round = round;
+  facts.window_start = round * 4;
+  facts.window_end = round * 4 + 40;
+  facts.n_variations = round % 5;
+  facts.mu = 0.5 * round;
+  facts.sigma = 0.25;
+  facts.threshold = 0.75;
+  facts.score = 0.1;
+  facts.abnormal = (round % 3 == 0);
+  const int ids[] = {round};
+  recorder->Record(facts, ids, {}, ids);
 }
 
 TEST(FlightRecorderTest, DisabledRecorderAnswersEverythingEmpty) {
@@ -38,13 +41,129 @@ TEST(FlightRecorderTest, DisabledRecorderAnswersEverythingEmpty) {
   EXPECT_FALSE(recorder.enabled());
   EXPECT_EQ(recorder.capacity(), 0);
   EXPECT_EQ(recorder.size(), 0);
-  EXPECT_EQ(recorder.latest(), nullptr);
-  EXPECT_EQ(recorder.Find(0), nullptr);
+  EXPECT_FALSE(recorder.latest().has_value());
+  EXPECT_FALSE(recorder.Find(0).has_value());
   EXPECT_FALSE(recorder.Explain(0).has_value());
   EXPECT_TRUE(recorder.Records().empty());
   std::string jsonl;
   recorder.DumpJsonl(&jsonl);
   EXPECT_TRUE(jsonl.empty());
+}
+
+TEST(FlightRecorderTest, ConstructionIsTwoBlocks) {
+  // The default ring of an 8-sensor tenant: one slot array and one id arena
+  // (reserving three id vectors per slot instead costs 770 allocations).
+  common::LinkAllocHook();
+  ASSERT_TRUE(common::AllocHookInstalled());
+  const int64_t before = common::ThreadAllocCount();
+  FlightRecorder recorder(256, 8);
+  const int64_t allocs = common::ThreadAllocCount() - before;
+  EXPECT_LE(allocs, 3);
+  EXPECT_EQ(recorder.capacity(), 256);
+}
+
+int64_t WallNowUs() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
+}
+
+// Round r of a worst-case stream over `n` sensors: entered and exited split
+// all n sensors (at a split point that walks 0 ... n), movers = entered, so
+// the slot's arena range is full whenever the split is n. Every scalar is
+// distinct per round and has a non-trivial JSON form.
+DecisionRecord WorstCaseRound(int round, int n) {
+  DecisionRecord record;
+  record.round = round;
+  record.window_start = round * 3;
+  record.window_end = round * 3 + 32;
+  record.n_variations = n;
+  record.mu = round / 3.0;
+  record.sigma = 1.0 / (round + 7);
+  record.threshold = 2.5 * record.sigma;
+  record.score = 0.125 * (round % 9);
+  record.abnormal = round % 4 == 1;
+  record.anomaly_open = round % 4 != 0;
+  record.n_outliers = round % n;
+  record.n_communities = 1 + round % 3;
+  record.n_edges = 10 * round;
+  record.modularity = -0.5 + round / 97.0;
+  record.correlation_seconds = 1e-6 * round;
+  record.knn_seconds = 2e-6 * round + 1e-9;
+  record.louvain_seconds = 3e-7 * round;
+  record.coappearance_seconds = 1.0 / 3e6;
+  record.round_seconds = 5e-6 * round + 1.0 / 7e5;
+  const int split = round % (n + 1);
+  for (int v = 0; v < n; ++v) {
+    (v < split ? record.entered : record.exited).push_back((v + round) % n);
+  }
+  record.movers = record.entered;
+  return record;
+}
+
+TEST(FlightRecorderTest, RoundTripMatchesReferenceRecordsByteForByte) {
+  constexpr int kCapacity = 8;
+  constexpr int kSensors = 5;
+  constexpr int kRounds = 3 * kCapacity;
+  common::LinkAllocHook();
+  FlightRecorder recorder(kCapacity, kSensors);
+  std::vector<DecisionRecord> reference;
+  for (int round = 0; round < kRounds; ++round) {
+    reference.push_back(WorstCaseRound(round, kSensors));
+  }
+
+  const int64_t wall_before = WallNowUs();
+  const int64_t allocs_before = common::ThreadAllocCount();
+  for (const DecisionRecord& record : reference) {
+    recorder.Record(record, record.entered, record.exited, record.movers);
+  }
+  const int64_t record_allocs = common::ThreadAllocCount() - allocs_before;
+  const int64_t wall_after = WallNowUs();
+  EXPECT_EQ(record_allocs, 0);
+
+  // The wall-clock stamp is the recorder's; every other byte is ours.
+  const std::vector<DecisionRecord> records = recorder.Records();
+  ASSERT_EQ(records.size(), static_cast<size_t>(kCapacity));
+  for (int i = 0; i < kCapacity; ++i) {
+    DecisionRecord& want = reference[kRounds - kCapacity + i];
+    EXPECT_GE(records[i].unix_us, wall_before);
+    EXPECT_LE(records[i].unix_us, wall_after);
+    want.unix_us = records[i].unix_us;
+    EXPECT_EQ(DecisionRecordToJson(records[i]), DecisionRecordToJson(want));
+    EXPECT_EQ(records[i].entered, want.entered);
+    EXPECT_EQ(records[i].exited, want.exited);
+    EXPECT_EQ(records[i].movers, want.movers);
+  }
+
+  std::string want_jsonl;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const bool held = round >= kRounds - kCapacity;
+    const std::optional<DecisionRecord> found = recorder.Find(round);
+    ASSERT_EQ(found.has_value(), held);
+    const std::optional<DecisionProvenance> explained =
+        recorder.Explain(round);
+    ASSERT_EQ(explained.has_value(), held);
+    if (!held) continue;
+    const DecisionRecord& want = reference[round];
+    EXPECT_EQ(DecisionRecordToJson(*found), DecisionRecordToJson(want));
+    const bool prev_held = round - 1 >= kRounds - kCapacity;
+    EXPECT_EQ(ProvenanceToJson(*explained),
+              ProvenanceToJson(MakeProvenance(
+                  want, prev_held ? &reference[round - 1] : nullptr)));
+    want_jsonl += DecisionRecordToJson(want) + '\n';
+  }
+  EXPECT_FALSE(recorder.Find(kRounds).has_value());
+  ASSERT_TRUE(recorder.latest().has_value());
+  EXPECT_EQ(DecisionRecordToJson(*recorder.latest()),
+            DecisionRecordToJson(reference.back()));
+
+  std::string jsonl;
+  recorder.DumpJsonl(&jsonl);
+  EXPECT_EQ(jsonl, want_jsonl);
+  std::string range;
+  recorder.AppendRangeJsonl(0, kRounds, &range);
+  EXPECT_EQ(range, want_jsonl);
 }
 
 TEST(FlightRecorderTest, RingWrapsAndEvictsOldestRounds) {
@@ -53,16 +172,16 @@ TEST(FlightRecorderTest, RingWrapsAndEvictsOldestRounds) {
 
   EXPECT_EQ(recorder.size(), 4);
   EXPECT_EQ(recorder.total_records(), 10);
-  ASSERT_NE(recorder.latest(), nullptr);
+  ASSERT_TRUE(recorder.latest().has_value());
   EXPECT_EQ(recorder.latest()->round, 9);
 
   // Rounds 0..5 were evicted, 6..9 are held.
   for (int round = 0; round < 6; ++round) {
-    EXPECT_EQ(recorder.Find(round), nullptr) << "round " << round;
+    EXPECT_FALSE(recorder.Find(round).has_value()) << "round " << round;
   }
   for (int round = 6; round < 10; ++round) {
-    const DecisionRecord* record = recorder.Find(round);
-    ASSERT_NE(record, nullptr) << "round " << round;
+    const std::optional<DecisionRecord> record = recorder.Find(round);
+    ASSERT_TRUE(record.has_value()) << "round " << round;
     EXPECT_EQ(record->round, round);
     EXPECT_EQ(record->window_start, round * 4);
     ASSERT_EQ(record->entered.size(), 1u);
@@ -110,22 +229,32 @@ TEST(FlightRecorderTest, ExplainSurvivesEvictionOfThePreviousRound) {
   EXPECT_TRUE(newest->has_prev);
 }
 
-TEST(FlightRecorderTest, ClearKeepsVectorCapacity) {
-  DecisionRecord record;
-  record.entered.reserve(16);
-  record.entered = {1, 2, 3};
-  record.exited = {4};
-  record.movers = {1};
-  record.round = 7;
-  record.mu = 3.5;
-  const size_t capacity = record.entered.capacity();
-  record.Clear();
-  EXPECT_EQ(record.round, -1);
-  EXPECT_EQ(record.mu, 0.0);
-  EXPECT_TRUE(record.entered.empty());
-  EXPECT_TRUE(record.exited.empty());
-  EXPECT_TRUE(record.movers.empty());
-  EXPECT_GE(record.entered.capacity(), capacity);
+TEST(FlightRecorderTest, WrappedSlotKeepsNothingOfTheEvictedRound) {
+  FlightRecorder recorder(2, 4);
+  DecisionFacts facts;
+  facts.round = 0;
+  facts.mu = 3.5;
+  facts.abnormal = true;
+  const int many[] = {0, 1, 2};
+  const int last[] = {3};
+  recorder.Record(facts, many, last, many);  // 7 of the 8 ids a slot holds
+  RecordRound(&recorder, 1);
+
+  // Round 2 reuses round 0's slot and arena range with fewer ids.
+  facts = DecisionFacts{};
+  facts.round = 2;
+  const int one[] = {1};
+  recorder.Record(facts, {}, one, {});
+
+  EXPECT_FALSE(recorder.Find(0).has_value());
+  const std::optional<DecisionRecord> record = recorder.Find(2);
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->round, 2);
+  EXPECT_EQ(record->mu, 0.0);
+  EXPECT_FALSE(record->abnormal);
+  EXPECT_TRUE(record->entered.empty());
+  EXPECT_EQ(record->exited, std::vector<int>{1});
+  EXPECT_TRUE(record->movers.empty());
 }
 
 TEST(FlightRecorderTest, JsonKeepsTimingsLastAndOmitsThemOnRequest) {
@@ -204,6 +333,24 @@ struct CheckFailure : std::runtime_error {
 [[noreturn]] void ThrowingHandler(const check::CheckContext& ctx,
                                   const std::string& message) {
   throw CheckFailure(check::FormatFailure(ctx, message));
+}
+
+TEST(FlightRecorderTest, RecordRejectsOverfullSlotsAndRoundsOutOfOrder) {
+  FlightRecorder recorder(4, 2);  // 4 ids per slot
+  check::ScopedFailureHandler guard(&ThrowingHandler);
+  DecisionFacts facts;
+  facts.round = 0;
+  const int three[] = {0, 1, 0};
+  const int two[] = {0, 1};
+  EXPECT_THROW(recorder.Record(facts, three, {}, two), CheckFailure);
+  EXPECT_EQ(recorder.total_records(), 0);
+  recorder.Record(facts, two, {}, two);  // exactly 2n
+  facts.round = 2;  // round 1 skipped
+  EXPECT_THROW(recorder.Record(facts, {}, {}, {}), CheckFailure);
+  EXPECT_EQ(recorder.total_records(), 1);
+  FlightRecorder disabled;
+  facts.round = 0;
+  EXPECT_THROW(disabled.Record(facts, {}, {}, {}), CheckFailure);
 }
 
 TEST(FlightRecorderTest, CrashDumpWritesTheRingWhenACheckFails) {

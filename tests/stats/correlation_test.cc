@@ -275,14 +275,23 @@ INSTANTIATE_TEST_SUITE_P(Is5Shape, CorrelationKernelReferenceTest,
 // Every block of every kernel reads only the residuals and their spare rows:
 // they end right at an unreadable page, so a read past the spare rows or the
 // padded columns faults. (Without the spare rows, the baseline kernel of a
-// GCC 12 -march=native build reads past the last time step.)
+// GCC 12 -march=native build reads past the last time step.) Each shape runs
+// at the tightest stride the kernels accept and at the matrix's own.
 TEST(CorrelationKernelBoundsTest, BlocksReadNothingPastTheResiduals) {
   const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  struct Shape {
+    int n, w, stride;
+  };
+  std::vector<Shape> shapes;
   for (const auto& [n, w] : {std::pair{25, 3}, std::pair{33, 86},
                              std::pair{64, 31}, std::pair{130, 2},
                              std::pair{406, 86}}) {
-    const int stride = (n + internal::kResidualAlign - 1) /
-                       internal::kResidualAlign * internal::kResidualAlign;
+    const int aligned = (n + internal::kResidualAlign - 1) /
+                        internal::kResidualAlign * internal::kResidualAlign;
+    shapes.push_back({n, w, aligned});
+    shapes.push_back({n, w, internal::ResidualStride(n)});
+  }
+  for (const auto& [n, w, stride] : shapes) {
     const size_t values = static_cast<size_t>(w) * stride;
     const size_t bytes =
         (values + static_cast<size_t>(internal::kResidualSpareRows) * stride) *
@@ -301,8 +310,8 @@ TEST(CorrelationKernelBoundsTest, BlocksReadNothingPastTheResiduals) {
     corr.Resize(n);
     for (const internal::TileKernel& kernel :
          internal::SupportedTileKernels()) {
-      SCOPED_TRACE(::testing::Message()
-                   << kernel.name << " n=" << n << " w=" << w);
+      SCOPED_TRACE(::testing::Message() << kernel.name << " n=" << n
+                                        << " w=" << w << " stride=" << stride);
       for (int i = 0; i + 1 < n; i += kernel.block_rows) {
         kernel.block(res, stride, w, n, i, &corr);
       }
@@ -315,6 +324,19 @@ TEST(CorrelationKernelBoundsTest, BlocksReadNothingPastTheResiduals) {
       EXPECT_EQ(corr.at(0, n - 1), std::clamp(dot, -1.0, 1.0));
     }
     ASSERT_EQ(munmap(base, mapped), 0);
+  }
+}
+
+// The matrix's stride is an odd number of 64-byte lines, so a sensor's
+// transposed writes, one per time step, do not pile into a few L1 sets.
+TEST(CorrelationKernelBoundsTest, ResidualStrideIsAnOddNumberOfLines) {
+  EXPECT_EQ(internal::ResidualStride(1266), 1288);  // IS-5
+  EXPECT_EQ(internal::ResidualStride(406), 424);    // IS-3
+  for (int n = 1; n <= 1300; ++n) {
+    const int stride = internal::ResidualStride(n);
+    EXPECT_GE(stride, n);
+    EXPECT_EQ(stride % 8, 0) << n;
+    EXPECT_EQ(stride / 8 % 2, 1) << n;
   }
 }
 

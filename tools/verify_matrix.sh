@@ -20,7 +20,9 @@
 #                   not installed (GCC compiles the annotations to no-ops).
 #   7. engine     — focused re-run of the batch/stream/fleet equivalence,
 #                   allocation-gauge, flight-log-file and SampleWindow
-#                   cadence and ring tests, the RoundProcessor tests (two
+#                   cadence and ring tests, the flight recorder's unit tests
+#                   (its slot and id-arena index arithmetic), the
+#                   RoundProcessor tests (two
 #                   processors on one shared workspace) and the Graph tests
 #                   (adjacency capacity kept across shrink and regrow), plus
 #                   the bit-for-bit reference tests of the correlation and kNN
@@ -127,7 +129,8 @@ run_preset() {
 # Builds a sanitizer preset and runs only the engine unification tests
 # (driver equivalence, allocation gauge, round cadence and the ring the
 # rounds read in place, rounds on a shared workspace, graph capacity reuse,
-# the flight-log file, kernel references) under it.
+# the flight-log file and the flight recorder's slots and id arena, kernel
+# references) under it.
 run_engine_under() {
   local preset="$1"
   echo
@@ -135,7 +138,7 @@ run_engine_under() {
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$JOBS"
   ctest --preset "$preset" \
-    -R 'EngineEquivalenceTest|EngineAllocTest|EngineAllocSweepTest|EngineFlightLogTest|SampleWindowTest|RoundProcessorTest|GraphTest|CorrelationKernelReferenceTest|CorrelationKernelBoundsTest|CorrelationKernelPickTest|CorrelationMatrixLayoutTest|CorrelationMatrixTest|KnnReferenceTest|LouvainReferenceTest' \
+    -R 'EngineEquivalenceTest|EngineAllocTest|EngineAllocSweepTest|EngineFlightLogTest|FlightRecorderTest|SampleWindowTest|RoundProcessorTest|GraphTest|CorrelationKernelReferenceTest|CorrelationKernelBoundsTest|CorrelationKernelPickTest|CorrelationMatrixLayoutTest|CorrelationMatrixTest|KnnReferenceTest|LouvainReferenceTest' \
     --output-on-failure
 }
 
